@@ -1,6 +1,6 @@
 //! Dense displacement fields.
 
-use nerve_video::frame::Frame;
+use nerve_video::frame::{resize_plane, sample_plane};
 
 /// A dense per-pixel displacement field `(dx, dy)` in pixels.
 ///
@@ -56,11 +56,22 @@ impl FlowField {
         self.dy[i] = dy;
     }
 
+    /// The `dx` and `dy` planes, row-major.
+    pub(crate) fn planes(&self) -> (&[f32], &[f32]) {
+        (&self.dx, &self.dy)
+    }
+
+    pub(crate) fn planes_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.dx, &mut self.dy)
+    }
+
     /// Bilinear sample of the field at fractional coordinates.
     pub fn sample(&self, x: f32, y: f32) -> (f32, f32) {
-        let fx = Frame::from_data(self.width, self.height, self.dx.clone());
-        let fy = Frame::from_data(self.width, self.height, self.dy.clone());
-        (fx.sample(x, y), fy.sample(x, y))
+        let (w, h) = (self.width, self.height);
+        (
+            sample_plane(&self.dx, w, h, x, y),
+            sample_plane(&self.dy, w, h, x, y),
+        )
     }
 
     /// Upsample to a new grid, scaling displacement magnitudes by the
@@ -69,21 +80,29 @@ impl FlowField {
     pub fn upsample(&self, new_width: usize, new_height: usize) -> FlowField {
         let sx = new_width as f32 / self.width as f32;
         let sy = new_height as f32 / self.height as f32;
-        let fx = Frame::from_data(self.width, self.height, self.dx.clone())
-            .resize(new_width, new_height);
-        let fy = Frame::from_data(self.width, self.height, self.dy.clone())
-            .resize(new_width, new_height);
+        let scaled = |plane: &[f32], s: f32| {
+            let mut out = resize_plane(plane, self.width, self.height, new_width, new_height);
+            out.iter_mut().for_each(|v| *v *= s);
+            out
+        };
         FlowField {
             width: new_width,
             height: new_height,
-            dx: fx.data().iter().map(|v| v * sx).collect(),
-            dy: fy.data().iter().map(|v| v * sy).collect(),
+            dx: scaled(&self.dx, sx),
+            dy: scaled(&self.dy, sy),
         }
     }
 
     /// 3x3 box smoothing — the regularizer between LK iterations.
     pub fn smooth3(&self) -> FlowField {
         let mut out = FlowField::zero(self.width, self.height);
+        self.smooth3_into(&mut out);
+        out
+    }
+
+    /// [`FlowField::smooth3`] into a field of the same shape.
+    pub(crate) fn smooth3_into(&self, out: &mut FlowField) {
+        assert_eq!((self.width, self.height), (out.width, out.height));
         for y in 0..self.height {
             for x in 0..self.width {
                 let (mut sx, mut sy, mut n) = (0.0f32, 0.0f32, 0.0f32);
@@ -106,7 +125,6 @@ impl FlowField {
                 out.set(x, y, sx / n, sy / n);
             }
         }
-        out
     }
 
     /// Mean endpoint error against another field (for tests with known
@@ -135,6 +153,36 @@ impl FlowField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nerve_rng::{check_cases, Rng};
+    use nerve_video::frame::Frame;
+
+    #[test]
+    fn sample_is_bitwise_the_frame_sampler_on_each_plane() {
+        check_cases("flow_field_sample", 64, |rng| {
+            let (w, h) = (rng.random_range(1..12usize), rng.random_range(1..12usize));
+            let mut f = FlowField::zero(w, h);
+            for y in 0..h {
+                for x in 0..w {
+                    f.set(
+                        x,
+                        y,
+                        rng.random_range(-4.0f32..4.0),
+                        rng.random_range(-4.0f32..4.0),
+                    );
+                }
+            }
+            let dx = Frame::from_data(w, h, f.dx.clone());
+            let dy = Frame::from_data(w, h, f.dy.clone());
+            // Coordinates reach well past every border.
+            for _ in 0..32 {
+                let x = rng.random_range(-8.0f32..w as f32 + 8.0);
+                let y = rng.random_range(-8.0f32..h as f32 + 8.0);
+                let (sx, sy) = f.sample(x, y);
+                assert_eq!(sx.to_bits(), dx.sample(x, y).to_bits(), "dx at ({x}, {y})");
+                assert_eq!(sy.to_bits(), dy.sample(x, y).to_bits(), "dy at ({x}, {y})");
+            }
+        });
+    }
 
     #[test]
     fn zero_flow_has_zero_magnitude() {

@@ -9,7 +9,8 @@
 
 use crate::field::FlowField;
 use crate::pyramid::Pyramid;
-use nerve_video::frame::Frame;
+use nerve_tensor::par;
+use nerve_video::frame::{floor_exact, sample_plane, Frame};
 
 /// Tuning knobs for the estimator.
 #[derive(Debug, Clone, Copy)]
@@ -85,6 +86,15 @@ impl FlowConfig {
     }
 }
 
+/// Replicated-border margin, in pixels, around the padded copy of each
+/// source level that the kernel samples. A window tap whose bilinear
+/// footprint reaches farther outside the frame takes the clamped path.
+pub const PAD: usize = 8;
+
+/// Below this many window taps per pass (pixels × window area), the
+/// row bands' thread start-up costs more than it saves.
+const PAR_MIN_TAPS: usize = 1 << 14;
+
 /// Estimate the dense flow aligning `source` to `target`:
 /// `target(p) ≈ source(p + flow(p))`.
 pub fn estimate(source: &Frame, target: &Frame, config: &FlowConfig) -> FlowField {
@@ -106,66 +116,219 @@ pub fn estimate(source: &Frame, target: &Frame, config: &FlowConfig) -> FlowFiel
         if (flow.width(), flow.height()) != (src.width(), src.height()) {
             flow = flow.upsample(src.width(), src.height());
         }
+        let level = Level::new(src, tgt);
+        let mut updated = FlowField::zero(src.width(), src.height());
         for _ in 0..config.iterations {
-            flow = lk_iteration(src, tgt, &flow, config);
-            flow = flow.smooth3();
+            lk_iteration(&level, &flow, &mut updated, config);
+            updated.smooth3_into(&mut flow);
         }
     }
     flow
 }
 
-/// One warped-LK update over the whole field.
-fn lk_iteration(
-    source: &Frame,
-    target: &Frame,
-    flow: &FlowField,
-    config: &FlowConfig,
-) -> FlowField {
-    let w = source.width();
-    let h = source.height();
-    let r = config.window_radius as isize;
-    let mut out = FlowField::zero(w, h);
+/// One pyramid level as the kernel reads it.
+struct Level<'a> {
+    width: usize,
+    height: usize,
+    source: &'a [f32],
+    /// `source` with a [`PAD`]-pixel replicated border on every side,
+    /// row stride `width + 2 * PAD`.
+    padded: Vec<f32>,
+    target: &'a [f32],
+}
 
-    for y in 0..h {
-        for x in 0..w {
-            let (fx, fy) = flow.get(x, y);
-            // Accumulate the structure tensor G and mismatch vector b over
-            // the window, sampling the source at the warped location.
-            let (mut gxx, mut gxy, mut gyy) = (0.0f32, 0.0f32, 0.0f32);
-            let (mut bx, mut by) = (0.0f32, 0.0f32);
-            for oy in -r..=r {
-                for ox in -r..=r {
-                    let tx = x as isize + ox;
-                    let ty = y as isize + oy;
-                    if tx < 0 || ty < 0 || tx >= w as isize || ty >= h as isize {
-                        continue;
-                    }
-                    let sxf = tx as f32 + fx;
-                    let syf = ty as f32 + fy;
-                    // Central-difference gradients of the warped source.
-                    let ix = 0.5 * (source.sample(sxf + 1.0, syf) - source.sample(sxf - 1.0, syf));
-                    let iy = 0.5 * (source.sample(sxf, syf + 1.0) - source.sample(sxf, syf - 1.0));
-                    let it = source.sample(sxf, syf) - target.get(tx as usize, ty as usize);
-                    gxx += ix * ix;
-                    gxy += ix * iy;
-                    gyy += iy * iy;
-                    bx += ix * it;
-                    by += iy * it;
-                }
+impl<'a> Level<'a> {
+    fn new(source: &'a Frame, target: &'a Frame) -> Self {
+        let (w, h) = (source.width(), source.height());
+        let mut padded = Vec::with_capacity((w + 2 * PAD) * (h + 2 * PAD));
+        if w * h > 0 {
+            for py in 0..h + 2 * PAD {
+                let y = py.saturating_sub(PAD).min(h - 1);
+                let row = &source.data()[y * w..(y + 1) * w];
+                padded.extend(std::iter::repeat_n(row[0], PAD));
+                padded.extend_from_slice(row);
+                padded.extend(std::iter::repeat_n(row[w - 1], PAD));
             }
-            // Solve G d = -b with Tikhonov damping for flat regions.
-            let lambda = 1e-4;
-            let det = (gxx + lambda) * (gyy + lambda) - gxy * gxy;
-            let (mut dx, mut dy) = (0.0f32, 0.0f32);
-            if det > 1e-9 {
-                dx = -((gyy + lambda) * bx - gxy * by) / det;
-                dy = -(-gxy * bx + (gxx + lambda) * by) / det;
-            }
-            let m = config.max_step;
-            out.set(x, y, fx + dx.clamp(-m, m), fy + dy.clamp(-m, m));
+        }
+        Level {
+            width: w,
+            height: h,
+            source: source.data(),
+            padded,
+            target: target.data(),
         }
     }
-    out
+}
+
+/// One warped-LK update over the whole field, written into `out`. Rows
+/// are split into bands across the worker pool; each output pixel is
+/// computed by exactly one worker, so any split gives the same bits.
+fn lk_iteration(level: &Level, flow: &FlowField, out: &mut FlowField, config: &FlowConfig) {
+    let (w, h) = (level.width, level.height);
+    if w * h == 0 {
+        return;
+    }
+    let (flow_dx, flow_dy) = flow.planes();
+    let (out_dx, out_dy) = out.planes_mut();
+    let band = |y0: usize, dx: &mut [f32], dy: &mut [f32]| {
+        let mut xs = Vec::with_capacity(2 * config.window_radius + 1);
+        for (j, (row_dx, row_dy)) in dx.chunks_mut(w).zip(dy.chunks_mut(w)).enumerate() {
+            lk_row(
+                level,
+                flow_dx,
+                flow_dy,
+                y0 + j,
+                config,
+                &mut xs,
+                row_dx,
+                row_dy,
+            );
+        }
+    };
+    let workers = par::workers().min(h);
+    let taps = w * h * (2 * config.window_radius + 1).pow(2);
+    if workers == 1 || par::in_pool() || taps < PAR_MIN_TAPS {
+        band(0, out_dx, out_dy);
+        return;
+    }
+    let per = h.div_ceil(workers) * w;
+    let mut bands = out_dx.chunks_mut(per).zip(out_dy.chunks_mut(per));
+    let (first_dx, first_dy) = bands.next().expect("a non-empty field has a first band");
+    std::thread::scope(|s| {
+        for (i, (dx, dy)) in bands.enumerate() {
+            let band = &band;
+            s.spawn(move || {
+                let _in_pool = par::PoolGuard::new();
+                band((i + 1) * per / w, dx, dy);
+            });
+        }
+        // The calling thread takes the first band itself.
+        band(0, first_dx, first_dy);
+    });
+}
+
+/// The three bilinear samples one window tap takes along one axis, at
+/// `s - 1`, `s` and `s + 1`: each sample's offset into the padded plane,
+/// its fractional weight and one minus it. Only `s` is set unless the
+/// samples' footprint lies inside the padded plane (`in_pad`).
+#[derive(Clone, Copy, Default)]
+struct Axis {
+    s: f32,
+    in_pad: bool,
+    index: [usize; 3],
+    frac: [f32; 3],
+    rest: [f32; 3],
+}
+
+impl Axis {
+    /// Samples along an axis of `len` pixels whose padded stride is
+    /// `stride` (1 for columns, the padded row length for rows).
+    #[inline]
+    fn new(s: f32, len: usize, stride: usize) -> Axis {
+        let at = [s - 1.0, s, s + 1.0];
+        // Each footprint spans `floor(v)..=floor(v) + 1`. For an integer
+        // n, `floor(v) >= n` iff `v >= n`, and the samples are ordered,
+        // so the outer two decide; NaN fails and takes the clamped path.
+        let in_pad = at[0] >= -(PAD as f32) && at[2] < (len + PAD - 1) as f32;
+        if !in_pad {
+            return Axis {
+                s,
+                ..Axis::default()
+            };
+        }
+        let floor = at.map(floor_exact);
+        let frac = [at[0] - floor[0], at[1] - floor[1], at[2] - floor[2]];
+        Axis {
+            s,
+            in_pad,
+            index: floor.map(|f| (f as isize + PAD as isize) as usize * stride),
+            frac,
+            rest: frac.map(|f| 1.0 - f),
+        }
+    }
+}
+
+/// [`Frame::sample`]'s interpolation over the padded plane: `i` indexes
+/// the top-left neighbour, `stride` is the padded row length, `k`/`l`
+/// pick the column/row sample of the tap.
+#[inline(always)]
+fn bilerp(padded: &[f32], stride: usize, xa: &Axis, k: usize, ya: &Axis, l: usize) -> f32 {
+    let i = ya.index[l] + xa.index[k];
+    let (fx, gx, fy, gy) = (xa.frac[k], xa.rest[k], ya.frac[l], ya.rest[l]);
+    let (v00, v01) = (padded[i], padded[i + 1]);
+    let (v10, v11) = (padded[i + stride], padded[i + stride + 1]);
+    v00 * gx * gy + v01 * fx * gy + v10 * gx * fy + v11 * fx * fy
+}
+
+/// Row `y` of one warped-LK update. `xs` is per-pixel scratch for the
+/// window's column samples.
+#[allow(clippy::too_many_arguments)]
+fn lk_row(
+    level: &Level,
+    flow_dx: &[f32],
+    flow_dy: &[f32],
+    y: usize,
+    config: &FlowConfig,
+    xs: &mut Vec<Axis>,
+    out_dx: &mut [f32],
+    out_dy: &mut [f32],
+) {
+    let (w, h) = (level.width, level.height);
+    let stride = w + 2 * PAD;
+    let r = config.window_radius;
+    let sample = |x: f32, y: f32| sample_plane(level.source, w, h, x, y);
+    // Out-of-frame taps are skipped: the window is cut to the frame.
+    let rows = y.saturating_sub(r)..=(y + r).min(h - 1);
+    for x in 0..w {
+        let (fx, fy) = (flow_dx[y * w + x], flow_dy[y * w + x]);
+        xs.clear();
+        xs.extend(
+            (x.saturating_sub(r)..=(x + r).min(w - 1)).map(|tx| Axis::new(tx as f32 + fx, w, 1)),
+        );
+        let tx0 = x.saturating_sub(r);
+        // Accumulate the structure tensor G and mismatch vector b over
+        // the window, sampling the source at the warped location.
+        let (mut gxx, mut gxy, mut gyy) = (0.0f32, 0.0f32, 0.0f32);
+        let (mut bx, mut by) = (0.0f32, 0.0f32);
+        for ty in rows.clone() {
+            let ya = Axis::new(ty as f32 + fy, h, stride);
+            let target = &level.target[ty * w + tx0..];
+            for (xa, &t) in xs.iter().zip(target) {
+                // Central-difference gradients of the warped source.
+                let (ix, iy, it) = if xa.in_pad && ya.in_pad {
+                    let at = |k: usize, l: usize| bilerp(&level.padded, stride, xa, k, &ya, l);
+                    (
+                        0.5 * (at(2, 1) - at(0, 1)),
+                        0.5 * (at(1, 2) - at(1, 0)),
+                        at(1, 1) - t,
+                    )
+                } else {
+                    let (sxf, syf) = (xa.s, ya.s);
+                    (
+                        0.5 * (sample(sxf + 1.0, syf) - sample(sxf - 1.0, syf)),
+                        0.5 * (sample(sxf, syf + 1.0) - sample(sxf, syf - 1.0)),
+                        sample(sxf, syf) - t,
+                    )
+                };
+                gxx += ix * ix;
+                gxy += ix * iy;
+                gyy += iy * iy;
+                bx += ix * it;
+                by += iy * it;
+            }
+        }
+        // Solve G d = -b with Tikhonov damping for flat regions.
+        let lambda = 1e-4;
+        let det = (gxx + lambda) * (gyy + lambda) - gxy * gxy;
+        let (mut dx, mut dy) = (0.0f32, 0.0f32);
+        if det > 1e-9 {
+            dx = -((gyy + lambda) * bx - gxy * by) / det;
+            dy = -(-gxy * bx + (gxx + lambda) * by) / det;
+        }
+        let m = config.max_step;
+        out_dx[x] = fx + dx.clamp(-m, m);
+        out_dy[x] = fy + dy.clamp(-m, m);
+    }
 }
 
 #[cfg(test)]

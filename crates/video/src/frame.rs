@@ -4,6 +4,70 @@
 //! plane, which is where PSNR/SSIM are conventionally measured and where
 //! all of the paper's quality numbers live. Values are `f32` in `[0, 1]`.
 
+/// `x.floor()`, bit for bit, without a libm call.
+///
+/// Baseline x86-64 has no rounding instruction, so `f32::floor` compiles
+/// to an out-of-line `floorf`. Below `2^23` every `f32` with a fraction
+/// truncates exactly through `i32`; stepping down for negatives and
+/// copying the sign back (so `-0.0` stays `-0.0`) gives `floor`. Larger
+/// magnitudes are already integers and go, with infinities and NaN, to
+/// `f32::floor`.
+#[inline]
+pub fn floor_exact(x: f32) -> f32 {
+    if x.abs() < 8_388_608.0 {
+        let t = x as i32 as f32;
+        let f = if t > x { t - 1.0 } else { t };
+        f.copysign(x)
+    } else {
+        x.floor()
+    }
+}
+
+/// Bilinear sample with border clamping of a row-major `width × height`
+/// plane — [`Frame::sample`] over a borrowed buffer.
+#[inline]
+pub fn sample_plane(data: &[f32], width: usize, height: usize, x: f32, y: f32) -> f32 {
+    let x0 = floor_exact(x);
+    let y0 = floor_exact(y);
+    let fx = x - x0;
+    let fy = y - y0;
+    let xi = x0 as isize;
+    let yi = y0 as isize;
+    let (w, h) = (width as isize, height as isize);
+    let get =
+        |x: isize, y: isize| data[y.clamp(0, h - 1) as usize * width + x.clamp(0, w - 1) as usize];
+    let v00 = get(xi, yi);
+    let v01 = get(xi + 1, yi);
+    let v10 = get(xi, yi + 1);
+    let v11 = get(xi + 1, yi + 1);
+    v00 * (1.0 - fx) * (1.0 - fy) + v01 * fx * (1.0 - fy) + v10 * (1.0 - fx) * fy + v11 * fx * fy
+}
+
+/// Bilinear resize of a row-major `width × height` plane —
+/// [`Frame::resize`] over a borrowed buffer.
+pub fn resize_plane(
+    data: &[f32],
+    width: usize,
+    height: usize,
+    new_width: usize,
+    new_height: usize,
+) -> Vec<f32> {
+    if (new_width, new_height) == (width, height) {
+        return data.to_vec();
+    }
+    let sx = width as f32 / new_width as f32;
+    let sy = height as f32 / new_height as f32;
+    let mut out = Vec::with_capacity(new_width * new_height);
+    for y in 0..new_height {
+        let fy = ((y as f32 + 0.5) * sy - 0.5).max(0.0);
+        for x in 0..new_width {
+            let fx = ((x as f32 + 0.5) * sx - 0.5).max(0.0);
+            out.push(sample_plane(data, width, height, fx, fy));
+        }
+    }
+    out
+}
+
 /// A single-channel (luma) video frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -93,35 +157,18 @@ impl Frame {
     }
 
     /// Bilinear sample with border clamping.
+    #[inline]
     pub fn sample(&self, x: f32, y: f32) -> f32 {
-        let x0 = x.floor();
-        let y0 = y.floor();
-        let fx = x - x0;
-        let fy = y - y0;
-        let xi = x0 as isize;
-        let yi = y0 as isize;
-        let v00 = self.get_clamped(xi, yi);
-        let v01 = self.get_clamped(xi + 1, yi);
-        let v10 = self.get_clamped(xi, yi + 1);
-        let v11 = self.get_clamped(xi + 1, yi + 1);
-        v00 * (1.0 - fx) * (1.0 - fy)
-            + v01 * fx * (1.0 - fy)
-            + v10 * (1.0 - fx) * fy
-            + v11 * fx * fy
+        sample_plane(&self.data, self.width, self.height, x, y)
     }
 
     /// Bilinear resize to a new size (align-corners=false convention).
     pub fn resize(&self, new_width: usize, new_height: usize) -> Frame {
-        if (new_width, new_height) == (self.width, self.height) {
-            return self.clone();
+        Frame {
+            width: new_width,
+            height: new_height,
+            data: resize_plane(&self.data, self.width, self.height, new_width, new_height),
         }
-        let sx = self.width as f32 / new_width as f32;
-        let sy = self.height as f32 / new_height as f32;
-        Frame::from_fn(new_width, new_height, |x, y| {
-            let fx = ((x as f32 + 0.5) * sx - 0.5).max(0.0);
-            let fy = ((y as f32 + 0.5) * sy - 0.5).max(0.0);
-            self.sample(fx, fy)
-        })
     }
 
     /// 2x downsample by box filtering — used to build image pyramids.
