@@ -9,7 +9,6 @@
 
 use crate::field::FlowField;
 use crate::pyramid::Pyramid;
-use nerve_tensor::par;
 use nerve_video::frame::{floor_exact, sample_plane, Frame};
 
 /// Tuning knobs for the estimator.
@@ -91,10 +90,6 @@ impl FlowConfig {
 /// footprint reaches farther outside the frame takes the clamped path.
 pub const PAD: usize = 8;
 
-/// Below this many window taps per pass (pixels × window area), the
-/// row bands' thread start-up costs more than it saves.
-const PAR_MIN_TAPS: usize = 1 << 14;
-
 /// Estimate the dense flow aligning `source` to `target`:
 /// `target(p) ≈ source(p + flow(p))`.
 pub fn estimate(source: &Frame, target: &Frame, config: &FlowConfig) -> FlowField {
@@ -160,51 +155,20 @@ impl<'a> Level<'a> {
     }
 }
 
-/// One warped-LK update over the whole field, written into `out`. Rows
-/// are split into bands across the worker pool; each output pixel is
-/// computed by exactly one worker, so any split gives the same bits.
+/// One warped-LK update over the whole field, written into `out`. It runs
+/// on the calling thread: split across threads, the pass's time would
+/// depend on whether another core happens to be free.
 fn lk_iteration(level: &Level, flow: &FlowField, out: &mut FlowField, config: &FlowConfig) {
-    let (w, h) = (level.width, level.height);
-    if w * h == 0 {
+    let w = level.width;
+    if w == 0 {
         return;
     }
     let (flow_dx, flow_dy) = flow.planes();
     let (out_dx, out_dy) = out.planes_mut();
-    let band = |y0: usize, dx: &mut [f32], dy: &mut [f32]| {
-        let mut xs = Vec::with_capacity(2 * config.window_radius + 1);
-        for (j, (row_dx, row_dy)) in dx.chunks_mut(w).zip(dy.chunks_mut(w)).enumerate() {
-            lk_row(
-                level,
-                flow_dx,
-                flow_dy,
-                y0 + j,
-                config,
-                &mut xs,
-                row_dx,
-                row_dy,
-            );
-        }
-    };
-    let workers = par::workers().min(h);
-    let taps = w * h * (2 * config.window_radius + 1).pow(2);
-    if workers == 1 || par::in_pool() || taps < PAR_MIN_TAPS {
-        band(0, out_dx, out_dy);
-        return;
+    let mut xs = Vec::with_capacity(2 * config.window_radius + 1);
+    for (y, (row_dx, row_dy)) in out_dx.chunks_mut(w).zip(out_dy.chunks_mut(w)).enumerate() {
+        lk_row(level, flow_dx, flow_dy, y, config, &mut xs, row_dx, row_dy);
     }
-    let per = h.div_ceil(workers) * w;
-    let mut bands = out_dx.chunks_mut(per).zip(out_dy.chunks_mut(per));
-    let (first_dx, first_dy) = bands.next().expect("a non-empty field has a first band");
-    std::thread::scope(|s| {
-        for (i, (dx, dy)) in bands.enumerate() {
-            let band = &band;
-            s.spawn(move || {
-                let _in_pool = par::PoolGuard::new();
-                band((i + 1) * per / w, dx, dy);
-            });
-        }
-        // The calling thread takes the first band itself.
-        band(0, first_dx, first_dy);
-    });
 }
 
 /// The three bilinear samples one window tap takes along one axis, at

@@ -1,7 +1,7 @@
 //! Bit-identity of the LK kernel against the scalar estimator it replaced.
 //!
-//! `oracle` below is the estimator as it was before the padded, banded
-//! kernel: per-tap `Frame::sample` calls built on `f32::floor`, a fresh
+//! `oracle` below is the estimator as it was before the padded kernel:
+//! per-tap `Frame::sample` calls built on `f32::floor`, a fresh
 //! `FlowField` per iteration, and the clone-and-resize upsample. The only
 //! edits are that sampling and resizing go through local copies of the
 //! old `Frame::sample`/`Frame::resize` (the library's now use
@@ -10,7 +10,9 @@
 //! reaches the kernel's clamped fallback.
 //!
 //! Every case must match bit for bit at 1 and at 4 workers, and at the
-//! worker count the environment sets (`NERVE_JOBS`), if another.
+//! worker count the environment sets (`NERVE_JOBS`), if another. The
+//! kernel runs on the calling thread, so the worker count must not move
+//! a bit.
 
 use nerve_flow::field::FlowField;
 use nerve_flow::lk::{estimate, FlowConfig, PAD};
