@@ -19,6 +19,7 @@ pub mod field;
 pub mod lk;
 pub mod occlusion;
 pub mod pyramid;
+mod simd;
 pub mod warp;
 
 pub use field::FlowField;

@@ -9,6 +9,7 @@
 
 use crate::field::FlowField;
 use crate::pyramid::Pyramid;
+use crate::simd::{Lanes, LANES};
 use nerve_video::frame::{floor_exact, sample_plane, Frame};
 
 /// Tuning knobs for the estimator.
@@ -90,9 +91,21 @@ impl FlowConfig {
 /// footprint reaches farther outside the frame takes the clamped path.
 pub const PAD: usize = 8;
 
+pub use crate::simd::floor_lanes;
+
 /// Estimate the dense flow aligning `source` to `target`:
 /// `target(p) ≈ source(p + flow(p))`.
 pub fn estimate(source: &Frame, target: &Frame, config: &FlowConfig) -> FlowField {
+    estimate_with(source, target, config, Lanes::detect())
+}
+
+/// [`estimate`] with the vector groups on (`Some`) or off.
+fn estimate_with(
+    source: &Frame,
+    target: &Frame,
+    config: &FlowConfig,
+    lanes: Option<Lanes>,
+) -> FlowField {
     assert_eq!(
         (source.width(), source.height()),
         (target.width(), target.height()),
@@ -114,11 +127,32 @@ pub fn estimate(source: &Frame, target: &Frame, config: &FlowConfig) -> FlowFiel
         let level = Level::new(src, tgt);
         let mut updated = FlowField::zero(src.width(), src.height());
         for _ in 0..config.iterations {
-            lk_iteration(&level, &flow, &mut updated, config);
+            lk_iteration(&level, &flow, &mut updated, config, lanes);
             updated.smooth3_into(&mut flow);
         }
     }
     flow
+}
+
+/// One warped-LK update of `flow` on `source`/`target` at their own
+/// resolution, with no pyramid and no smoothing: the step [`estimate`]
+/// repeats `config.iterations` times per level (`config.levels` and
+/// `config.min_size` are unused).
+pub fn refine(source: &Frame, target: &Frame, flow: &FlowField, config: &FlowConfig) -> FlowField {
+    let shape = (source.width(), source.height());
+    assert!(
+        (target.width(), target.height()) == shape && (flow.width(), flow.height()) == shape,
+        "flow inputs must share dimensions"
+    );
+    let mut out = FlowField::zero(shape.0, shape.1);
+    lk_iteration(
+        &Level::new(source, target),
+        flow,
+        &mut out,
+        config,
+        Lanes::detect(),
+    );
+    out
 }
 
 /// One pyramid level as the kernel reads it.
@@ -157,8 +191,15 @@ impl<'a> Level<'a> {
 
 /// One warped-LK update over the whole field, written into `out`. It runs
 /// on the calling thread: split across threads, the pass's time would
-/// depend on whether another core happens to be free.
-fn lk_iteration(level: &Level, flow: &FlowField, out: &mut FlowField, config: &FlowConfig) {
+/// depend on whether another core happens to be free. With `lanes`, each
+/// row's interior runs in groups of eight pixels (see [`lk_row`]).
+fn lk_iteration(
+    level: &Level,
+    flow: &FlowField,
+    out: &mut FlowField,
+    config: &FlowConfig,
+    lanes: Option<Lanes>,
+) {
     let w = level.width;
     if w == 0 {
         return;
@@ -167,7 +208,8 @@ fn lk_iteration(level: &Level, flow: &FlowField, out: &mut FlowField, config: &F
     let (out_dx, out_dy) = out.planes_mut();
     let mut xs = Vec::with_capacity(2 * config.window_radius + 1);
     for (y, (row_dx, row_dy)) in out_dx.chunks_mut(w).zip(out_dy.chunks_mut(w)).enumerate() {
-        lk_row(level, flow_dx, flow_dy, y, config, &mut xs, row_dx, row_dy);
+        let flow_row = (&flow_dx[y * w..][..w], &flow_dy[y * w..][..w]);
+        lk_row(level, flow_row, y, config, lanes, &mut xs, row_dx, row_dy);
     }
 }
 
@@ -224,75 +266,120 @@ fn bilerp(padded: &[f32], stride: usize, xa: &Axis, k: usize, ya: &Axis, l: usiz
     v00 * gx * gy + v01 * fx * gy + v10 * gx * fy + v11 * fx * fy
 }
 
-/// Row `y` of one warped-LK update. `xs` is per-pixel scratch for the
-/// window's column samples.
+/// Row `y` of one warped-LK update; `flow` is the row's flow. With
+/// `lanes`, every pixel whose window is not cut at the left or right
+/// edge goes through [`Lanes::lk_group`] in a group of eight: from column
+/// `r` on, and with the row's last group shifted left to end at column
+/// `w - 1 - r`, overlapping the one before it. A pixel whose group breaks
+/// the group rule, and every pixel with a cut window, goes through
+/// [`lk_pixel`] alone, and the next group starts after it. `xs` is
+/// [`lk_pixel`]'s scratch.
 #[allow(clippy::too_many_arguments)]
 fn lk_row(
     level: &Level,
-    flow_dx: &[f32],
-    flow_dy: &[f32],
+    (flow_dx, flow_dy): (&[f32], &[f32]),
     y: usize,
     config: &FlowConfig,
+    lanes: Option<Lanes>,
     xs: &mut Vec<Axis>,
     out_dx: &mut [f32],
     out_dy: &mut [f32],
 ) {
     let (w, h) = (level.width, level.height);
+    let r = config.window_radius;
+    let mut x = 0;
+    while x < w {
+        // The group holding `x`: it starts at `x`, except near the right
+        // edge, where it ends at the last pixel whose window is not cut.
+        let start = x.min(w.saturating_sub(r + LANES));
+        if let Some(lanes) = lanes.filter(|_| start >= r && x + r < w) {
+            let group = start..start + LANES;
+            let fx: &[f32; LANES] = flow_dx[group.clone()].try_into().expect("eight pixels");
+            let fy: &[f32; LANES] = flow_dy[group.clone()].try_into().expect("eight pixels");
+            if let Some(sums) =
+                lanes.lk_group(&level.padded, level.target, w, h, fx, fy, start, y, r)
+            {
+                // Lanes left of `x` overlap the previous group: done.
+                for i in x - start..LANES {
+                    let window = sums.map(|sum| sum[i]);
+                    (out_dx[start + i], out_dy[start + i]) = solve(fx[i], fy[i], window, config);
+                }
+                x = group.end;
+                continue;
+            }
+        }
+        (out_dx[x], out_dy[x]) = lk_pixel(level, x, y, flow_dx[x], flow_dy[x], config, xs);
+        x += 1;
+    }
+}
+
+/// Pixel `(x, y)` of one warped-LK update from its flow `(fx, fy)`: the
+/// scalar kernel, and the whole kernel on a CPU without AVX2.
+fn lk_pixel(
+    level: &Level,
+    x: usize,
+    y: usize,
+    fx: f32,
+    fy: f32,
+    config: &FlowConfig,
+    xs: &mut Vec<Axis>,
+) -> (f32, f32) {
+    let (w, h) = (level.width, level.height);
     let stride = w + 2 * PAD;
     let r = config.window_radius;
     let sample = |x: f32, y: f32| sample_plane(level.source, w, h, x, y);
-    // Out-of-frame taps are skipped: the window is cut to the frame.
-    let rows = y.saturating_sub(r)..=(y + r).min(h - 1);
-    for x in 0..w {
-        let (fx, fy) = (flow_dx[y * w + x], flow_dy[y * w + x]);
-        xs.clear();
-        xs.extend(
-            (x.saturating_sub(r)..=(x + r).min(w - 1)).map(|tx| Axis::new(tx as f32 + fx, w, 1)),
-        );
-        let tx0 = x.saturating_sub(r);
-        // Accumulate the structure tensor G and mismatch vector b over
-        // the window, sampling the source at the warped location.
-        let (mut gxx, mut gxy, mut gyy) = (0.0f32, 0.0f32, 0.0f32);
-        let (mut bx, mut by) = (0.0f32, 0.0f32);
-        for ty in rows.clone() {
-            let ya = Axis::new(ty as f32 + fy, h, stride);
-            let target = &level.target[ty * w + tx0..];
-            for (xa, &t) in xs.iter().zip(target) {
-                // Central-difference gradients of the warped source.
-                let (ix, iy, it) = if xa.in_pad && ya.in_pad {
-                    let at = |k: usize, l: usize| bilerp(&level.padded, stride, xa, k, &ya, l);
-                    (
-                        0.5 * (at(2, 1) - at(0, 1)),
-                        0.5 * (at(1, 2) - at(1, 0)),
-                        at(1, 1) - t,
-                    )
-                } else {
-                    let (sxf, syf) = (xa.s, ya.s);
-                    (
-                        0.5 * (sample(sxf + 1.0, syf) - sample(sxf - 1.0, syf)),
-                        0.5 * (sample(sxf, syf + 1.0) - sample(sxf, syf - 1.0)),
-                        sample(sxf, syf) - t,
-                    )
-                };
-                gxx += ix * ix;
-                gxy += ix * iy;
-                gyy += iy * iy;
-                bx += ix * it;
-                by += iy * it;
-            }
+    xs.clear();
+    xs.extend((x.saturating_sub(r)..=(x + r).min(w - 1)).map(|tx| Axis::new(tx as f32 + fx, w, 1)));
+    let tx0 = x.saturating_sub(r);
+    // Accumulate the structure tensor G and mismatch vector b over the
+    // window, sampling the source at the warped location. Out-of-frame
+    // taps are skipped: the window is cut to the frame.
+    let (mut gxx, mut gxy, mut gyy) = (0.0f32, 0.0f32, 0.0f32);
+    let (mut bx, mut by) = (0.0f32, 0.0f32);
+    for ty in y.saturating_sub(r)..=(y + r).min(h - 1) {
+        let ya = Axis::new(ty as f32 + fy, h, stride);
+        let target = &level.target[ty * w + tx0..];
+        for (xa, &t) in xs.iter().zip(target) {
+            // Central-difference gradients of the warped source.
+            let (ix, iy, it) = if xa.in_pad && ya.in_pad {
+                let at = |k: usize, l: usize| bilerp(&level.padded, stride, xa, k, &ya, l);
+                (
+                    0.5 * (at(2, 1) - at(0, 1)),
+                    0.5 * (at(1, 2) - at(1, 0)),
+                    at(1, 1) - t,
+                )
+            } else {
+                let (sxf, syf) = (xa.s, ya.s);
+                (
+                    0.5 * (sample(sxf + 1.0, syf) - sample(sxf - 1.0, syf)),
+                    0.5 * (sample(sxf, syf + 1.0) - sample(sxf, syf - 1.0)),
+                    sample(sxf, syf) - t,
+                )
+            };
+            gxx += ix * ix;
+            gxy += ix * iy;
+            gyy += iy * iy;
+            bx += ix * it;
+            by += iy * it;
         }
-        // Solve G d = -b with Tikhonov damping for flat regions.
-        let lambda = 1e-4;
-        let det = (gxx + lambda) * (gyy + lambda) - gxy * gxy;
-        let (mut dx, mut dy) = (0.0f32, 0.0f32);
-        if det > 1e-9 {
-            dx = -((gyy + lambda) * bx - gxy * by) / det;
-            dy = -(-gxy * bx + (gxx + lambda) * by) / det;
-        }
-        let m = config.max_step;
-        out_dx[x] = fx + dx.clamp(-m, m);
-        out_dy[x] = fy + dy.clamp(-m, m);
     }
+    solve(fx, fy, [gxx, gxy, gyy, bx, by], config)
+}
+
+/// The updated flow of a pixel with flow `(fx, fy)` and window sums
+/// `[gxx, gxy, gyy, bx, by]`: solve `G d = -b` with Tikhonov damping for
+/// flat regions, clamp the step, add it.
+#[inline]
+fn solve(fx: f32, fy: f32, [gxx, gxy, gyy, bx, by]: [f32; 5], config: &FlowConfig) -> (f32, f32) {
+    let lambda = 1e-4;
+    let det = (gxx + lambda) * (gyy + lambda) - gxy * gxy;
+    let (mut dx, mut dy) = (0.0f32, 0.0f32);
+    if det > 1e-9 {
+        dx = -((gyy + lambda) * bx - gxy * by) / det;
+        dy = -(-gxy * bx + (gxx + lambda) * by) / det;
+    }
+    let m = config.max_step;
+    (fx + dx.clamp(-m, m), fy + dy.clamp(-m, m))
 }
 
 #[cfg(test)]
@@ -312,6 +399,63 @@ mod tests {
             0.5 + 0.3 * ((x as f32) * 0.35).sin() * ((y as f32) * 0.28).cos()
                 + 0.15 * ((x as f32 + 2.0 * y as f32) * 0.12).sin()
         })
+    }
+
+    /// Bit patterns of both planes.
+    fn bits(flow: &FlowField) -> Vec<(u32, u32)> {
+        let (dx, dy) = flow.planes();
+        dx.iter()
+            .zip(dy)
+            .map(|(a, b)| (a.to_bits(), b.to_bits()))
+            .collect()
+    }
+
+    /// The scalar pixel code on every pixel, as a CPU without AVX2 runs
+    /// it, against the dispatched kernel, bit for bit: whole estimates,
+    /// and single passes from seeded flows that reach past the pad and
+    /// from a flow that splits a tap's samples.
+    #[test]
+    fn scalar_pixels_match_the_dispatched_kernel() {
+        use nerve_rng::{DetRng, Rng};
+        let mut rng = DetRng::new(0x1a2e5);
+        let configs = [
+            FlowConfig::fast(),
+            FlowConfig::default(),
+            FlowConfig::for_point_codes(),
+        ];
+        for config in &configs {
+            for (w, h) in [(5, 7), (13, 9), (21, 16), (37, 11), (64, 32), (106, 60)] {
+                let src = textured(w, h);
+                let tgt = shift(&src, 2, -1);
+                let scalar = estimate_with(&src, &tgt, config, None);
+                let dispatched = estimate(&src, &tgt, config);
+                assert!(bits(&scalar) == bits(&dispatched), "estimate {w}x{h}");
+
+                let mut flow = FlowField::zero(w, h);
+                for y in 0..h {
+                    for x in 0..w {
+                        let reach = if rng.random_bool(0.05) { 20.0 } else { 2.0 };
+                        let (dx, dy) = (
+                            rng.random_range(-reach..reach),
+                            rng.random_range(-reach..reach),
+                        );
+                        flow.set(x, y, dx, dy);
+                    }
+                }
+                let level = Level::new(&src, &tgt);
+                // A tiny negative flow makes the taps in column and row 0
+                // sample at `-1e-9`, where `s - 1` rounds to `-1.0` and
+                // the three samples stop being a pixel apart.
+                let tiny = FlowField::constant(w, h, -1e-9, -1e-9);
+                for flow in [&flow, &tiny] {
+                    let mut scalar = FlowField::zero(w, h);
+                    let mut dispatched = FlowField::zero(w, h);
+                    lk_iteration(&level, flow, &mut scalar, config, None);
+                    lk_iteration(&level, flow, &mut dispatched, config, Lanes::detect());
+                    assert!(bits(&scalar) == bits(&dispatched), "pass {w}x{h}");
+                }
+            }
+        }
     }
 
     #[test]

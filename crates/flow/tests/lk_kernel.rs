@@ -12,11 +12,15 @@
 //! Every case must match bit for bit at 1 and at 4 workers, and at the
 //! worker count the environment sets (`NERVE_JOBS`), if another. The
 //! kernel runs on the calling thread, so the worker count must not move
-//! a bit.
+//! a bit. Single LK passes (`refine`) are checked against the oracle's
+//! pass on the shapes and flows that steer the eight-lane groups: frames
+//! too narrow for any group, every group tail, and one lane of an
+//! interior group pushed past the pad.
 
 use nerve_flow::field::FlowField;
-use nerve_flow::lk::{estimate, FlowConfig, PAD};
+use nerve_flow::lk::{estimate, refine, FlowConfig, PAD};
 use nerve_flow::pyramid::Pyramid;
+use nerve_rng::{DetRng, Rng};
 use nerve_tensor::par;
 use nerve_video::frame::Frame;
 use nerve_video::synth::{Category, SceneConfig, SyntheticVideo};
@@ -141,7 +145,7 @@ mod oracle {
     }
 
     /// The pre-change `lk_iteration`.
-    fn lk_iteration(
+    pub fn lk_iteration(
         source: &Frame,
         target: &Frame,
         flow: &FlowField,
@@ -307,4 +311,86 @@ fn estimate_is_bit_identical_to_the_scalar_oracle() {
         }
     }
     assert!(beyond > 0, "no tap sampled beyond the {PAD}-pixel pad");
+}
+
+/// A `w × h` frame of seeded uniform samples.
+fn noise(rng: &mut DetRng, w: usize, h: usize) -> Frame {
+    Frame::from_data(
+        w,
+        h,
+        (0..w * h).map(|_| rng.random_range(0.0f32..=1.0)).collect(),
+    )
+}
+
+/// Asserts one `refine` pass matches the oracle's pass from `flow`;
+/// returns the oracle's count of taps beyond the pad.
+fn assert_refine_identical(
+    name: &str,
+    source: &Frame,
+    target: &Frame,
+    flow: &FlowField,
+    config: &FlowConfig,
+) -> usize {
+    let mut beyond = 0;
+    let want = bits(&oracle::lk_iteration(
+        source,
+        target,
+        flow,
+        config,
+        &mut beyond,
+    ));
+    let got = bits(&refine(source, target, flow, config));
+    assert!(got == want, "{name}: refine differs from the oracle's pass");
+    beyond
+}
+
+/// Widths below `8 + 2r` leave no full group of eight; widths 32..=39
+/// end every row on each group tail length. Each shape runs a single
+/// pass from a seeded flow within the pad and a whole `estimate`.
+#[test]
+fn narrow_frames_and_group_tails_are_bit_identical() {
+    let mut rng = DetRng::new(0x4c4b);
+    for (cname, config) in configs() {
+        let r = config.window_radius;
+        for w in (1..8 + 2 * r).chain(32..40) {
+            let h = 9;
+            let (src, tgt) = (noise(&mut rng, w, h), noise(&mut rng, w, h));
+            let mut flow = FlowField::zero(w, h);
+            for y in 0..h {
+                for x in 0..w {
+                    let (dx, dy) = (
+                        rng.random_range(-3.0f32..3.0),
+                        rng.random_range(-3.0f32..3.0),
+                    );
+                    flow.set(x, y, dx, dy);
+                }
+            }
+            assert_refine_identical(&format!("{cname} {w}x{h}"), &src, &tgt, &flow, &config);
+            let want = bits(&oracle::estimate(&src, &tgt, &config).0);
+            let got = bits(&estimate(&src, &tgt, &config));
+            assert!(got == want, "{cname} {w}x{h}: estimate differs");
+        }
+    }
+}
+
+/// One lane of an interior group (lane 3 of the second group, which
+/// starts at column `r + 8`) samples past the pad, on each axis and in
+/// each direction; every other pixel's flow stays inside it.
+#[test]
+fn one_lane_past_the_pad_is_bit_identical() {
+    let mut rng = DetRng::new(0x9ad);
+    let (w, h) = (48, 24);
+    for (cname, config) in configs() {
+        let r = config.window_radius;
+        let (x, y) = (r + 8 + 3, h / 2);
+        let far = (w + PAD) as f32;
+        for (dx, dy) in [(far, 0.0), (-far, 0.0), (0.0, far), (0.0, -far)] {
+            let (src, tgt) = (noise(&mut rng, w, h), noise(&mut rng, w, h));
+            let mut flow = FlowField::constant(w, h, 0.25, -0.5);
+            flow.set(x, y, dx, dy);
+            let name = format!("{cname} lane ({x}, {y}) flow ({dx}, {dy})");
+            let beyond = assert_refine_identical(&name, &src, &tgt, &flow, &config);
+            assert!(beyond > 0, "{name}: no tap sampled beyond the pad");
+        }
+    }
 }

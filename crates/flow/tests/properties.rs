@@ -36,6 +36,60 @@ fn warp_preserves_value_bounds() {
     });
 }
 
+/// Flow components `Frame::sample` must survive: NaNs of both signs,
+/// infinities, magnitudes past `i32` and `isize`, `-0.0`, and the
+/// neighbours of 2^31.
+const EXTREME: [f32; 11] = [
+    f32::NAN,
+    -f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    3e9,
+    -3e9,
+    1e19,
+    -0.0,
+    2_147_483_648.0,
+    -2_147_483_648.0,
+    2_147_483_520.0,
+];
+
+#[test]
+fn warp_is_bitwise_the_per_pixel_sampler() {
+    check_cases("warp_is_bitwise_the_per_pixel_sampler", CASES, |rng| {
+        // Widths 1..40 give frames with no full group of eight, and every
+        // group tail.
+        let (w, h) = (rng.random_range(1..40usize), rng.random_range(1..12usize));
+        let f = textured_frame(w, h, rng.random_range(0.0f32..6.0));
+        let reach = w.max(h) as f32 + 3.0;
+        let mut flow = FlowField::zero(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let mut component = || {
+                    if rng.random_bool(0.15) {
+                        EXTREME[rng.random_range(0..EXTREME.len())]
+                    } else {
+                        rng.random_range(-reach..reach)
+                    }
+                };
+                let (dx, dy) = (component(), component());
+                flow.set(x, y, dx, dy);
+            }
+        }
+        let got = warp_frame(&f, &flow);
+        for y in 0..h {
+            for x in 0..w {
+                let (dx, dy) = flow.get(x, y);
+                let want = f.sample(x as f32 + dx, y as f32 + dy);
+                assert_eq!(
+                    got.get(x, y).to_bits(),
+                    want.to_bits(),
+                    "{w}x{h} at ({x}, {y}), flow ({dx:e}, {dy:e})"
+                );
+            }
+        }
+    });
+}
+
 #[test]
 fn validity_matches_geometry() {
     check_cases("validity_matches_geometry", CASES, |rng| {

@@ -2,7 +2,7 @@
 //! [`nerve_rng::check_cases`]).
 
 use nerve_rng::{check_cases, DetRng, Rng};
-use nerve_video::frame::Frame;
+use nerve_video::frame::{resize_plane, sample_plane, Frame};
 use nerve_video::metrics::{psnr, ssim, PSNR_CAP_DB};
 use nerve_video::resolution::Resolution;
 use nerve_video::synth::{Category, SceneConfig, SyntheticVideo};
@@ -41,6 +41,36 @@ fn resize_preserves_value_bounds() {
             assert!((-1e-6..=1.0 + 1e-6).contains(&v));
         }
     });
+}
+
+#[test]
+fn resize_plane_is_bitwise_the_per_sample_sampler() {
+    // Shapes 1..200 each way, so both down- and upscaling, 1-pixel axes
+    // and non-integer ratios all occur.
+    check_cases(
+        "resize_plane_is_bitwise_the_per_sample_sampler",
+        64,
+        |rng| {
+            let mut dim = || rng.random_range(1..200usize);
+            let (w, h, nw, nh) = (dim(), dim(), dim(), dim());
+            let f = random_frame(rng, w, h);
+            let (sx, sy) = (w as f32 / nw as f32, h as f32 / nh as f32);
+            let got = resize_plane(f.data(), w, h, nw, nh);
+            assert_eq!(got.len(), nw * nh);
+            for y in 0..nh {
+                let fy = ((y as f32 + 0.5) * sy - 0.5).max(0.0);
+                for x in 0..nw {
+                    let fx = ((x as f32 + 0.5) * sx - 0.5).max(0.0);
+                    let want = sample_plane(f.data(), w, h, fx, fy);
+                    assert_eq!(
+                        got[y * nw + x].to_bits(),
+                        want.to_bits(),
+                        "{w}x{h} -> {nw}x{nh} at ({x}, {y})"
+                    );
+                }
+            }
+        },
+    );
 }
 
 #[test]

@@ -3,13 +3,16 @@
 //! The LK kernel, `Frame::sample`, `resize` and the warps all floor
 //! through `floor_exact`; every digest and displayed frame depends on it
 //! agreeing with `f32::floor` on every input. The boundary classes and a
-//! strided sweep run by default; the exhaustive sweep of all 2^32 bit
-//! patterns is ignored (about 12 s in release on a 2-vCPU x86-64 host):
+//! strided sweep run by default, and the boundary classes also check the
+//! eight-lane `floor` of the LK and warp vector paths. The exhaustive
+//! sweep of all 2^32 bit patterns is ignored (about 12 s in release on a
+//! 2-vCPU x86-64 host):
 //!
 //! ```text
 //! cargo test --release --test floor_exact -- --ignored
 //! ```
 
+use nerve::flow::lk::floor_lanes;
 use nerve::video::frame::floor_exact;
 
 fn assert_matches(x: f32) {
@@ -36,8 +39,10 @@ fn around(x: f32) -> Vec<f32> {
         .collect()
 }
 
-#[test]
-fn boundary_classes_match_f32_floor() {
+/// Signed zeros, subnormals, the edges of `floor_exact`'s fast path, the
+/// largest finite value, infinities, NaNs, and the integers and
+/// half-integers images live at, each with its neighbours.
+fn boundary_classes() -> Vec<f32> {
     let mut cases = Vec::new();
     // Signed zeros and subnormals: smallest, a middle one, largest.
     for bits in [0, 1, 0x0040_0000, 0x007f_ffff] {
@@ -66,8 +71,45 @@ fn boundary_classes_match_f32_floor() {
             cases.extend(around(i as f32));
         }
     }
-    for x in cases {
+    cases
+}
+
+#[test]
+fn boundary_classes_match_f32_floor() {
+    for x in boundary_classes() {
         assert_matches(x);
+    }
+}
+
+/// The eight-lane `floor` of the LK and warp vector paths. A CPU without
+/// AVX2 has no such path, and nothing to check.
+#[test]
+fn lane_floor_matches_f32_floor_on_the_boundary_classes() {
+    let cases = boundary_classes();
+    for chunk in cases.chunks(8) {
+        let mut lanes = [0.0f32; 8];
+        lanes[..chunk.len()].copy_from_slice(chunk);
+        let Some(got) = floor_lanes(lanes) else {
+            return;
+        };
+        for (x, got) in lanes.iter().zip(got) {
+            let want = x.floor();
+            // The lane floor quiets a signalling NaN where `f32::floor`
+            // may not. Neither vector path keeps a NaN lane's result (the
+            // LK group rule refuses it, the warp redoes it scalar), so a
+            // NaN must only stay NaN; every other input matches bit for
+            // bit.
+            let same = if x.is_nan() {
+                got.is_nan()
+            } else {
+                got.to_bits() == want.to_bits()
+            };
+            assert!(
+                same,
+                "lane floor({x:e} = {:#010x}) = {got:e}, f32::floor gives {want:e}",
+                x.to_bits()
+            );
+        }
     }
 }
 
