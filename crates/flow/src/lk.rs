@@ -91,6 +91,14 @@ impl FlowConfig {
 /// footprint reaches farther outside the frame takes the clamped path.
 pub const PAD: usize = 8;
 
+/// Smallest window radius whose passes use the eight-lane groups. At
+/// radius 1 (`FlowConfig::fast`, the SR trunk) the groups ran the pass
+/// 3.8× faster, but under co-tenant load their time rose more steeply
+/// than the scalar kernel's, and the benchmark's frame rate spread from
+/// run to run past its bound. Radius 2 and 3 groups rose no more than
+/// the scalar kernel. Radius 1 runs the scalar pixel code.
+const MIN_GROUP_RADIUS: usize = 2;
+
 pub use crate::simd::floor_lanes;
 
 /// Estimate the dense flow aligning `source` to `target`:
@@ -191,8 +199,9 @@ impl<'a> Level<'a> {
 
 /// One warped-LK update over the whole field, written into `out`. It runs
 /// on the calling thread: split across threads, the pass's time would
-/// depend on whether another core happens to be free. With `lanes`, each
-/// row's interior runs in groups of eight pixels (see [`lk_row`]).
+/// depend on whether another core happens to be free. With `lanes` and a
+/// radius of at least [`MIN_GROUP_RADIUS`], each row's interior runs in
+/// groups of eight pixels (see [`lk_row`]).
 fn lk_iteration(
     level: &Level,
     flow: &FlowField,
@@ -204,6 +213,7 @@ fn lk_iteration(
     if w == 0 {
         return;
     }
+    let lanes = lanes.filter(|_| config.window_radius >= MIN_GROUP_RADIUS);
     let (flow_dx, flow_dy) = flow.planes();
     let (out_dx, out_dy) = out.planes_mut();
     let mut xs = Vec::with_capacity(2 * config.window_radius + 1);

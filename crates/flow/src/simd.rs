@@ -1,8 +1,8 @@
-//! Eight pixels per step: the AVX2 paths of the LK window and the warp.
+//! Eight pixels per step: the AVX2 path of the LK window.
 //!
-//! This module holds the crate's only `unsafe` code. Each path computes,
-//! lane by lane, exactly what the scalar code computes for one pixel: the
-//! same `floor`, `mul`, `add` and `sub` in the same order. It never uses a
+//! This module holds the crate's only `unsafe` code. It computes, lane by
+//! lane, exactly what the scalar code computes for one pixel: the same
+//! `floor`, `mul`, `add` and `sub` in the same order. It never uses a
 //! fused multiply-add, which rounds once where the scalar code rounds
 //! twice. A [`Lanes`] exists only on a CPU with AVX2; elsewhere the
 //! scalar code is the whole kernel.
@@ -67,34 +67,11 @@ impl Lanes {
         #[cfg(not(target_arch = "x86_64"))]
         match self.0 {}
     }
-
-    /// [`Frame::sample`](nerve_video::Frame::sample) of the `width ×
-    /// height` plane `source` at `(x + dx[x], y + dy[x])`, written to
-    /// `out[x]`, for the longest prefix of row `y` made of whole groups
-    /// of eight; returns that prefix's length. `dx`, `dy` and `out` are
-    /// the row's `width` entries.
-    pub(crate) fn warp_row(
-        self,
-        source: &[f32],
-        width: usize,
-        height: usize,
-        y: usize,
-        (dx, dy): (&[f32], &[f32]),
-        out: &mut [f32],
-    ) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: a `Lanes` exists only where `detect` found AVX2.
-            unsafe { avx2::warp_row(source, width, height, y, dx, dy, out) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        match self.0 {}
-    }
 }
 
-/// Eight-lane `floor`, as the LK groups and the warp compute it; exposed
-/// so tests can check it against [`f32::floor`] on every boundary class.
-/// `None` on a CPU without AVX2.
+/// Eight-lane `floor`, as the LK groups compute it; exposed so tests can
+/// check it against [`f32::floor`] on every boundary class. `None` on a
+/// CPU without AVX2.
 pub fn floor_lanes(x: [f32; LANES]) -> Option<[f32; LANES]> {
     #[cfg(target_arch = "x86_64")]
     {
@@ -112,16 +89,11 @@ pub fn floor_lanes(x: [f32; LANES]) -> Option<[f32; LANES]> {
 mod avx2 {
     use super::{WindowSums, LANES};
     use crate::lk::PAD;
-    use nerve_video::frame::sample_plane;
     use std::arch::x86_64::*;
 
     /// Widest window the LK groups take (`radius` 7); wider ones run
     /// scalar.
     const MAX_TAPS: usize = 15;
-
-    /// Exclusive bound on `|coordinate|` for a warp lane: below it the
-    /// floored coordinate converts to `i32` exactly.
-    const I32_RANGE: f32 = 2_147_483_648.0;
 
     #[target_feature(enable = "avx2")]
     fn load(v: &[f32]) -> __m256 {
@@ -387,90 +359,5 @@ mod avx2 {
             store(*sum, lanes);
         }
         Some(out)
-    }
-
-    /// `v` clamped lane-wise to `0..=max`.
-    #[target_feature(enable = "avx2")]
-    fn clamp(v: __m256i, max: __m256i) -> __m256i {
-        _mm256_min_epi32(_mm256_max_epi32(v, _mm256_setzero_si256()), max)
-    }
-
-    /// [`super::Lanes::warp_row`].
-    #[target_feature(enable = "avx2")]
-    pub(super) fn warp_row(
-        source: &[f32],
-        w: usize,
-        h: usize,
-        y: usize,
-        dx: &[f32],
-        dy: &[f32],
-        out: &mut [f32],
-    ) -> usize {
-        assert!(w * h > 0 && source.len() == w * h, "source plane shape");
-        assert!(source.len() <= i32::MAX as usize, "source plane too large");
-        assert!(y < h && dx.len() == w && dy.len() == w && out.len() == w);
-        let one = _mm256_set1_ps(1.0);
-        let one_i = _mm256_set1_epi32(1);
-        let sign = _mm256_set1_ps(-0.0);
-        let limit = _mm256_set1_ps(I32_RANGE);
-        let (x_max, y_max) = (
-            _mm256_set1_epi32(w as i32 - 1),
-            _mm256_set1_epi32(h as i32 - 1),
-        );
-        let width = _mm256_set1_epi32(w as i32);
-        let row = _mm256_set1_ps(y as f32);
-        let p = source.as_ptr();
-        let done = w / LANES * LANES;
-        for x0 in (0..done).step_by(LANES) {
-            let sx = _mm256_add_ps(columns(x0), load(&dx[x0..x0 + LANES]));
-            let sy = _mm256_add_ps(row, load(&dy[x0..x0 + LANES]));
-            let (fx0, fy0) = (_mm256_floor_ps(sx), _mm256_floor_ps(sy));
-            let (fx, fy) = (_mm256_sub_ps(sx, fx0), _mm256_sub_ps(sy, fy0));
-            // Out-of-range and NaN lanes convert to `i32::MIN`; the
-            // clamps put every index inside the plane regardless.
-            let (xi, yi) = (_mm256_cvttps_epi32(fx0), _mm256_cvttps_epi32(fy0));
-            let (x0i, x1i) = (clamp(xi, x_max), clamp(_mm256_add_epi32(xi, one_i), x_max));
-            let r0 = _mm256_mullo_epi32(clamp(yi, y_max), width);
-            let r1 = _mm256_mullo_epi32(clamp(_mm256_add_epi32(yi, one_i), y_max), width);
-            // SAFETY: every column index is clamped to `0..w` and every
-            // row offset to `0..h` rows, so each lane's index is below
-            // `w * h == source.len() <= i32::MAX`.
-            let (v00, v01, v10, v11) = unsafe {
-                (
-                    _mm256_i32gather_ps::<4>(p, _mm256_add_epi32(r0, x0i)),
-                    _mm256_i32gather_ps::<4>(p, _mm256_add_epi32(r0, x1i)),
-                    _mm256_i32gather_ps::<4>(p, _mm256_add_epi32(r1, x0i)),
-                    _mm256_i32gather_ps::<4>(p, _mm256_add_epi32(r1, x1i)),
-                )
-            };
-            let (gx, gy) = (_mm256_sub_ps(one, fx), _mm256_sub_ps(one, fy));
-            let a = _mm256_mul_ps(_mm256_mul_ps(v00, gx), gy);
-            let b = _mm256_mul_ps(_mm256_mul_ps(v01, fx), gy);
-            let c = _mm256_mul_ps(_mm256_mul_ps(v10, gx), fy);
-            let d = _mm256_mul_ps(_mm256_mul_ps(v11, fx), fy);
-            let v = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(a, b), c), d);
-            let group = &mut out[x0..x0 + LANES];
-            store(v, group);
-            // A lane whose coordinate is NaN, infinite or at least 2^31
-            // in magnitude floors outside `i32`, and a NaN result needs
-            // `sample_plane`'s one NaN: the scalar sampler redoes both.
-            let ordinary = _mm256_and_ps(
-                _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_LT_OQ>(_mm256_andnot_ps(sign, sx), limit),
-                    _mm256_cmp_ps::<_CMP_LT_OQ>(_mm256_andnot_ps(sign, sy), limit),
-                ),
-                _mm256_cmp_ps::<_CMP_ORD_Q>(v, v),
-            );
-            let ordinary = _mm256_movemask_ps(ordinary);
-            if ordinary != 0xFF {
-                for (i, v) in group.iter_mut().enumerate() {
-                    if ordinary & (1 << i) == 0 {
-                        let x = x0 + i;
-                        *v = sample_plane(source, w, h, x as f32 + dx[x], y as f32 + dy[x]);
-                    }
-                }
-            }
-        }
-        done
     }
 }

@@ -7,37 +7,19 @@
 //! to 5 ms; [`warp_frame_at_scale`] reproduces that trick.
 
 use crate::field::FlowField;
-use crate::simd::Lanes;
 use nerve_video::frame::Frame;
 
 /// Backward-warp: `out(p) = source(p + flow(p))`, bilinear, border-clamped.
-///
-/// Each output is [`Frame::sample`] at `p + flow(p)`, bit for bit, NaN and
-/// infinite flows included. On a CPU with AVX2 each row's whole groups of
-/// eight go through the vector path, the rest through `Frame::sample`.
 pub fn warp_frame(source: &Frame, flow: &FlowField) -> Frame {
     assert_eq!(
         (source.width(), source.height()),
         (flow.width(), flow.height()),
         "warp source and flow must share dimensions"
     );
-    let (w, h) = (source.width(), source.height());
-    if w * h == 0 {
-        return source.clone();
-    }
-    let (flow_dx, flow_dy) = flow.planes();
-    let lanes = Lanes::detect();
-    let mut out = vec![0.0; w * h];
-    for (y, row) in out.chunks_mut(w).enumerate() {
-        let (dx, dy) = (&flow_dx[y * w..][..w], &flow_dy[y * w..][..w]);
-        let done = lanes.map_or(0, |lanes| {
-            lanes.warp_row(source.data(), w, h, y, (dx, dy), row)
-        });
-        for x in done..w {
-            row[x] = source.sample(x as f32 + dx[x], y as f32 + dy[x]);
-        }
-    }
-    Frame::from_data(w, h, out)
+    Frame::from_fn(source.width(), source.height(), |x, y| {
+        let (dx, dy) = flow.get(x, y);
+        source.sample(x as f32 + dx, y as f32 + dy)
+    })
 }
 
 /// Validity mask: 1.0 where the warp sampled inside the source frame,

@@ -56,8 +56,6 @@ const EXTREME: [f32; 11] = [
 #[test]
 fn warp_is_bitwise_the_per_pixel_sampler() {
     check_cases("warp_is_bitwise_the_per_pixel_sampler", CASES, |rng| {
-        // Widths 1..40 give frames with no full group of eight, and every
-        // group tail.
         let (w, h) = (rng.random_range(1..40usize), rng.random_range(1..12usize));
         let f = textured_frame(w, h, rng.random_range(0.0f32..6.0));
         let reach = w.max(h) as f32 + 3.0;

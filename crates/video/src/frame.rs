@@ -50,8 +50,7 @@ pub fn sample_plane(data: &[f32], width: usize, height: usize, x: f32, y: f32) -
         + v11 * fx * fy;
     // Rust leaves the sign and payload of a NaN that arithmetic makes
     // unspecified: two inlined copies of this function may disagree on
-    // them. One NaN for every NaN keeps every copy, and the vector warp,
-    // bit-identical.
+    // them. One NaN for every NaN keeps every copy bit-identical.
     if v.is_nan() {
         f32::NAN
     } else {
@@ -61,13 +60,6 @@ pub fn sample_plane(data: &[f32], width: usize, height: usize, x: f32, y: f32) -
 
 /// Bilinear resize of a row-major `width × height` plane —
 /// [`Frame::resize`] over a borrowed buffer.
-///
-/// Every output sample is [`sample_plane`] at
-/// `((x + 0.5)·sx − 0.5, (y + 0.5)·sy − 0.5)`, clamped at 0, bit for bit
-/// (except a NaN, which keeps whatever payload the arithmetic gives it).
-/// That coordinate depends on the column alone along one axis and on the
-/// row alone along the other, so each column's and each row's neighbours
-/// and weights are computed once, and the inner loop only multiplies.
 pub fn resize_plane(
     data: &[f32],
     width: usize,
@@ -78,55 +70,17 @@ pub fn resize_plane(
     if (new_width, new_height) == (width, height) {
         return data.to_vec();
     }
-    if new_width * new_height == 0 {
-        return Vec::new();
-    }
-    assert!(
-        width * height > 0,
-        "cannot resize an empty plane to {new_width}x{new_height}"
-    );
-    let columns = taps(width, new_width);
+    let sx = width as f32 / new_width as f32;
+    let sy = height as f32 / new_height as f32;
     let mut out = Vec::with_capacity(new_width * new_height);
-    for row in taps(height, new_height) {
-        let top = &data[row.near * width..][..width];
-        let bottom = &data[row.far * width..][..width];
-        out.extend(columns.iter().map(|col| {
-            top[col.near] * col.rest * row.rest
-                + top[col.far] * col.frac * row.rest
-                + bottom[col.near] * col.rest * row.frac
-                + bottom[col.far] * col.frac * row.frac
-        }));
+    for y in 0..new_height {
+        let fy = ((y as f32 + 0.5) * sy - 0.5).max(0.0);
+        for x in 0..new_width {
+            let fx = ((x as f32 + 0.5) * sx - 0.5).max(0.0);
+            out.push(sample_plane(data, width, height, fx, fy));
+        }
     }
     out
-}
-
-/// One output coordinate of [`resize_plane`] along one axis: the clamped
-/// indices of its two neighbours, its fractional weight and one minus it,
-/// as [`sample_plane`] computes them.
-struct Tap {
-    near: usize,
-    far: usize,
-    frac: f32,
-    rest: f32,
-}
-
-/// The taps of `new_len` outputs resampling an axis of `len` pixels.
-fn taps(len: usize, new_len: usize) -> Vec<Tap> {
-    let scale = len as f32 / new_len as f32;
-    (0..new_len)
-        .map(|i| {
-            // Non-negative and at most `len`, so the cast is exact.
-            let s = ((i as f32 + 0.5) * scale - 0.5).max(0.0);
-            let floor = floor_exact(s);
-            let frac = s - floor;
-            Tap {
-                near: (floor as usize).min(len - 1),
-                far: (floor as usize + 1).min(len - 1),
-                frac,
-                rest: 1.0 - frac,
-            }
-        })
-        .collect()
 }
 
 /// A single-channel (luma) video frame.

@@ -4,7 +4,7 @@
 //! through `floor_exact`; every digest and displayed frame depends on it
 //! agreeing with `f32::floor` on every input. The boundary classes and a
 //! strided sweep run by default, and the boundary classes also check the
-//! eight-lane `floor` of the LK and warp vector paths. The exhaustive
+//! eight-lane `floor` of the LK vector path. The exhaustive
 //! sweep of all 2^32 bit patterns is ignored (about 12 s in release on a
 //! 2-vCPU x86-64 host):
 //!
@@ -81,8 +81,8 @@ fn boundary_classes_match_f32_floor() {
     }
 }
 
-/// The eight-lane `floor` of the LK and warp vector paths. A CPU without
-/// AVX2 has no such path, and nothing to check.
+/// The eight-lane `floor` of the LK vector path. A CPU without AVX2 has
+/// no such path, and nothing to check.
 #[test]
 fn lane_floor_matches_f32_floor_on_the_boundary_classes() {
     let cases = boundary_classes();
@@ -95,10 +95,8 @@ fn lane_floor_matches_f32_floor_on_the_boundary_classes() {
         for (x, got) in lanes.iter().zip(got) {
             let want = x.floor();
             // The lane floor quiets a signalling NaN where `f32::floor`
-            // may not. Neither vector path keeps a NaN lane's result (the
-            // LK group rule refuses it, the warp redoes it scalar), so a
-            // NaN must only stay NaN; every other input matches bit for
-            // bit.
+            // may not. The LK group rule refuses a NaN lane, so a NaN must
+            // only stay NaN; every other input matches bit for bit.
             let same = if x.is_nan() {
                 got.is_nan()
             } else {
