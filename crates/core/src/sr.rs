@@ -16,7 +16,7 @@
 //!   and the ground truth (§5), optimized with Charbonnier loss.
 
 use nerve_flow::lk::{estimate, FlowConfig};
-use nerve_flow::warp::warp_frame;
+use nerve_flow::warp::warp_resized;
 use nerve_rng::StdRng;
 use nerve_tensor::conv::ConvSpec;
 use nerve_tensor::fused::{head_forward, PlaneSource};
@@ -192,25 +192,27 @@ impl SuperResolver {
         }
 
         let base = lr.resize(ow, oh);
+        let base_lr = base.resize(lw, lh);
 
         // Shared flow trunk: align previous LR to current, reuse the
-        // motion to warp the previous HR output forward.
-        let warped_prev_hr = match (&self.prev_lr, &self.prev_hr) {
+        // motion to warp the previous HR output forward. The head reads
+        // the warp at LR resolution only, so the warp is computed only
+        // where that resize samples it. With no state for this rung the
+        // warped input is the LR base itself.
+        let warped_lr = match (&self.prev_lr, &self.prev_hr) {
             (Some((prev_rung, prev_lr)), Some(prev_hr)) if *prev_rung == rung => {
                 let flow = estimate(prev_lr, lr, &self.config.flow);
-                let flow_hr = flow.upsample(ow, oh);
-                warp_frame(prev_hr, &flow_hr)
+                Some(warp_resized(prev_hr, &flow, lw, lh))
             }
-            _ => base.clone(),
+            _ => None,
         };
+        let warped_lr = warped_lr.as_ref().unwrap_or(&base_lr);
 
         // Head input at LR resolution, fed as borrowed planes: the fused
         // kernel runs conv→ReLU→conv→PixelShuffle in one pass with no
         // channel concat, no per-layer input clones, and no intermediate
         // tensors — bit- and cost-identical to `Sequential::forward`
         // (the training path keeps using the container).
-        let base_lr = base.resize(lw, lh);
-        let warped_lr = warped_prev_hr.resize(lw, lh);
         let head = self
             .heads
             .get(&rung)
@@ -380,19 +382,32 @@ mod tests {
 
     #[test]
     fn temporal_state_used_on_second_frame() {
+        // A few training steps make the R360 head's residual depend on
+        // its warped-previous-output channel; with a zero-init head the
+        // two outputs would coincide.
         let (mut sr, mut video) = sr_at_scale8();
+        let rung = Resolution::R360;
+        for _ in 0..5 {
+            let gt = video.next_frame();
+            let (input, target) = sr.sr_sample(&gt, rung);
+            sr.head_mut(rung).train_step(&input, &target, |p, t| {
+                nerve_tensor::loss::charbonnier(p, t, 1e-3)
+            });
+        }
         let a = video.next_frame();
         let b = video.next_frame();
-        let (lw, lh) = sr.config().lr_dims(Resolution::R360);
-        sr.upscale(&a.resize(lw, lh), Resolution::R360);
-        let with_state = sr.upscale(&b.resize(lw, lh), Resolution::R360);
+        let (lw, lh) = sr.config().lr_dims(rung);
+        sr.upscale(&a.resize(lw, lh), rung);
+        let with_state = sr.upscale(&b.resize(lw, lh), rung);
         sr.reset();
-        let without_state = sr.upscale(&b.resize(lw, lh), Resolution::R360);
-        // Both valid outputs; with zero-init heads they coincide, so just
-        // check shape/state plumbing doesn't corrupt the result.
+        let without_state = sr.upscale(&b.resize(lw, lh), rung);
         assert_eq!(
             (with_state.width(), with_state.height()),
             (without_state.width(), without_state.height())
+        );
+        assert!(
+            with_state != without_state,
+            "the warped previous output does not reach the head"
         );
     }
 

@@ -96,7 +96,8 @@ pub const PAD: usize = 8;
 /// 3.8× faster, but under co-tenant load their time rose more steeply
 /// than the scalar kernel's, and the benchmark's frame rate spread from
 /// run to run past its bound. Radius 2 and 3 groups rose no more than
-/// the scalar kernel. Radius 1 runs the scalar pixel code.
+/// the scalar kernel. Radius 1 runs the scalar pixel code, whose uncut
+/// windows share their samples among their taps ([`shared_sums`]).
 const MIN_GROUP_RADIUS: usize = 2;
 
 pub use crate::simd::floor_lanes;
@@ -134,8 +135,13 @@ fn estimate_with(
         }
         let level = Level::new(src, tgt);
         let mut updated = FlowField::zero(src.width(), src.height());
-        for _ in 0..config.iterations {
-            lk_iteration(&level, &flow, &mut updated, config, lanes);
+        for i in 0..config.iterations {
+            if li == levels - 1 && i == 0 {
+                // `flow` is still the zero field.
+                lk_zero_pass(&level, &mut updated, config);
+            } else {
+                lk_iteration(&level, &flow, &mut updated, config, lanes);
+            }
             updated.smooth3_into(&mut flow);
         }
     }
@@ -223,17 +229,41 @@ fn lk_iteration(
     }
 }
 
+/// One bilinear sample along an axis of the padded plane: the offset of
+/// its first pixel, its fractional weight and one minus it.
+type Sample = (usize, f32, f32);
+
+/// The [`Sample`] at coordinate `v` on an axis whose padded stride is
+/// `stride`; `v`'s footprint must lie inside the padded plane.
+#[inline(always)]
+fn padded_sample(v: f32, stride: usize) -> Sample {
+    let floor = floor_exact(v);
+    let frac = v - floor;
+    (
+        (floor as isize + PAD as isize) as usize * stride,
+        frac,
+        1.0 - frac,
+    )
+}
+
+/// Whether the footprints of samples from `first` to `last` along an axis
+/// of `len` pixels lie inside the padded plane. Each footprint spans
+/// `floor(v)..=floor(v) + 1`. For an integer n, `floor(v) >= n` iff
+/// `v >= n`, and the samples are ordered, so the outer two decide; NaN
+/// fails and takes the clamped path.
+#[inline(always)]
+fn in_pad(first: f32, last: f32, len: usize) -> bool {
+    first >= -(PAD as f32) && last < (len + PAD - 1) as f32
+}
+
 /// The three bilinear samples one window tap takes along one axis, at
-/// `s - 1`, `s` and `s + 1`: each sample's offset into the padded plane,
-/// its fractional weight and one minus it. Only `s` is set unless the
-/// samples' footprint lies inside the padded plane (`in_pad`).
+/// `s - 1`, `s` and `s + 1`. Only `s` is set unless the samples'
+/// footprint lies inside the padded plane (`in_pad`).
 #[derive(Clone, Copy, Default)]
 struct Axis {
     s: f32,
     in_pad: bool,
-    index: [usize; 3],
-    frac: [f32; 3],
-    rest: [f32; 3],
+    at: [Sample; 3],
 }
 
 impl Axis {
@@ -242,35 +272,26 @@ impl Axis {
     #[inline]
     fn new(s: f32, len: usize, stride: usize) -> Axis {
         let at = [s - 1.0, s, s + 1.0];
-        // Each footprint spans `floor(v)..=floor(v) + 1`. For an integer
-        // n, `floor(v) >= n` iff `v >= n`, and the samples are ordered,
-        // so the outer two decide; NaN fails and takes the clamped path.
-        let in_pad = at[0] >= -(PAD as f32) && at[2] < (len + PAD - 1) as f32;
-        if !in_pad {
+        if !in_pad(at[0], at[2], len) {
             return Axis {
                 s,
                 ..Axis::default()
             };
         }
-        let floor = at.map(floor_exact);
-        let frac = [at[0] - floor[0], at[1] - floor[1], at[2] - floor[2]];
         Axis {
             s,
-            in_pad,
-            index: floor.map(|f| (f as isize + PAD as isize) as usize * stride),
-            frac,
-            rest: frac.map(|f| 1.0 - f),
+            in_pad: true,
+            at: at.map(|v| padded_sample(v, stride)),
         }
     }
 }
 
-/// [`Frame::sample`]'s interpolation over the padded plane: `i` indexes
-/// the top-left neighbour, `stride` is the padded row length, `k`/`l`
-/// pick the column/row sample of the tap.
+/// [`Frame::sample`]'s interpolation over the padded plane at the column
+/// sample `(xi, fx, gx)` and row sample `(yi, fy, gy)`: `yi + xi` indexes
+/// the top-left neighbour, `stride` is the padded row length.
 #[inline(always)]
-fn bilerp(padded: &[f32], stride: usize, xa: &Axis, k: usize, ya: &Axis, l: usize) -> f32 {
-    let i = ya.index[l] + xa.index[k];
-    let (fx, gx, fy, gy) = (xa.frac[k], xa.rest[k], ya.frac[l], ya.rest[l]);
+fn bilerp(padded: &[f32], stride: usize, (xi, fx, gx): Sample, (yi, fy, gy): Sample) -> f32 {
+    let i = yi + xi;
     let (v00, v01) = (padded[i], padded[i + 1]);
     let (v10, v11) = (padded[i + stride], padded[i + stride + 1]);
     v00 * gx * gy + v01 * fx * gy + v10 * gx * fy + v11 * fx * fy
@@ -323,8 +344,48 @@ fn lk_row(
     }
 }
 
+/// One warped-LK update of the zero flow, written into `out`: the first
+/// pass of every [`estimate`]. Each tap then samples at its own pixel, so
+/// its gradients, and the five products it adds to a window's sums, are
+/// the same in every window that holds it. They are taken once per
+/// pixel, and each window sums its taps' products in [`lk_pixel`]'s
+/// row-major order, cut windows included: bit for bit the pass that
+/// [`lk_iteration`] makes from a zero flow.
+fn lk_zero_pass(level: &Level, out: &mut FlowField, config: &FlowConfig) {
+    let (w, h) = (level.width, level.height);
+    if w == 0 {
+        return;
+    }
+    let stride = w + 2 * PAD;
+    // `tx as f32 + 0.0` is `tx as f32`: the taps' positions at zero flow.
+    let xs: Vec<Axis> = (0..w).map(|tx| Axis::new(tx as f32, w, 1)).collect();
+    let mut products = Vec::with_capacity(w * h);
+    for (ty, target) in level.target.chunks(w).enumerate() {
+        let ya = Axis::new(ty as f32, h, stride);
+        for (xa, &t) in xs.iter().zip(target) {
+            products.push(tap_products(level, xa, &ya, t));
+        }
+    }
+    let r = config.window_radius;
+    let (out_dx, out_dy) = out.planes_mut();
+    for y in 0..h {
+        for x in 0..w {
+            let cols = x.saturating_sub(r)..=(x + r).min(w - 1);
+            let mut sums = [0.0f32; 5];
+            for ty in y.saturating_sub(r)..=(y + r).min(h - 1) {
+                for tap in &products[ty * w..][cols.clone()] {
+                    accumulate(&mut sums, tap);
+                }
+            }
+            (out_dx[y * w + x], out_dy[y * w + x]) = solve(0.0, 0.0, sums, config);
+        }
+    }
+}
+
 /// Pixel `(x, y)` of one warped-LK update from its flow `(fx, fy)`: the
-/// scalar kernel, and the whole kernel on a CPU without AVX2.
+/// scalar kernel, and the whole kernel on a CPU without AVX2. A radius-1
+/// window that is not cut takes its samples once for all nine taps
+/// ([`shared_sums`]) where its axes allow it.
 fn lk_pixel(
     level: &Level,
     x: usize,
@@ -335,45 +396,145 @@ fn lk_pixel(
     xs: &mut Vec<Axis>,
 ) -> (f32, f32) {
     let (w, h) = (level.width, level.height);
-    let stride = w + 2 * PAD;
     let r = config.window_radius;
-    let sample = |x: f32, y: f32| sample_plane(level.source, w, h, x, y);
+    if r == 1 && (1..w - 1).contains(&x) && (1..h - 1).contains(&y) {
+        let sx = [x - 1, x, x + 1].map(|tx| tx as f32 + fx);
+        let sy = [y - 1, y, y + 1].map(|ty| ty as f32 + fy);
+        let sums = shared_sums(level, sx, sy, x - 1, y - 1).unwrap_or_else(|| {
+            let xs = sx.map(|s| Axis::new(s, w, 1));
+            tap_sums(level, &xs, x - 1, y - 1..=y + 1, fy)
+        });
+        return solve(fx, fy, sums, config);
+    }
     xs.clear();
     xs.extend((x.saturating_sub(r)..=(x + r).min(w - 1)).map(|tx| Axis::new(tx as f32 + fx, w, 1)));
-    let tx0 = x.saturating_sub(r);
-    // Accumulate the structure tensor G and mismatch vector b over the
-    // window, sampling the source at the warped location. Out-of-frame
-    // taps are skipped: the window is cut to the frame.
-    let (mut gxx, mut gxy, mut gyy) = (0.0f32, 0.0f32, 0.0f32);
-    let (mut bx, mut by) = (0.0f32, 0.0f32);
-    for ty in y.saturating_sub(r)..=(y + r).min(h - 1) {
-        let ya = Axis::new(ty as f32 + fy, h, stride);
+    let rows = y.saturating_sub(r)..=(y + r).min(h - 1);
+    solve(
+        fx,
+        fy,
+        tap_sums(level, xs, x.saturating_sub(r), rows, fy),
+        config,
+    )
+}
+
+/// A window's sums `[gxx, gxy, gyy, bx, by]`, one tap at a time: `xs`
+/// holds the column samples of the window's columns from `tx0` on,
+/// `rows` its rows and `fy` its pixel's vertical flow. Accumulate the
+/// structure tensor G and mismatch vector b over the window, sampling
+/// the source at the warped location. Out-of-frame taps are skipped: the
+/// window is cut to the frame.
+fn tap_sums(
+    level: &Level,
+    xs: &[Axis],
+    tx0: usize,
+    rows: std::ops::RangeInclusive<usize>,
+    fy: f32,
+) -> [f32; 5] {
+    let (w, h) = (level.width, level.height);
+    let mut sums = [0.0f32; 5];
+    for ty in rows {
+        let ya = Axis::new(ty as f32 + fy, h, w + 2 * PAD);
         let target = &level.target[ty * w + tx0..];
         for (xa, &t) in xs.iter().zip(target) {
-            // Central-difference gradients of the warped source.
-            let (ix, iy, it) = if xa.in_pad && ya.in_pad {
-                let at = |k: usize, l: usize| bilerp(&level.padded, stride, xa, k, &ya, l);
-                (
-                    0.5 * (at(2, 1) - at(0, 1)),
-                    0.5 * (at(1, 2) - at(1, 0)),
-                    at(1, 1) - t,
-                )
-            } else {
-                let (sxf, syf) = (xa.s, ya.s);
-                (
-                    0.5 * (sample(sxf + 1.0, syf) - sample(sxf - 1.0, syf)),
-                    0.5 * (sample(sxf, syf + 1.0) - sample(sxf, syf - 1.0)),
-                    sample(sxf, syf) - t,
-                )
-            };
-            gxx += ix * ix;
-            gxy += ix * iy;
-            gyy += iy * iy;
-            bx += ix * it;
-            by += iy * it;
+            accumulate(&mut sums, &tap_products(level, xa, &ya, t));
         }
     }
-    solve(fx, fy, [gxx, gxy, gyy, bx, by], config)
+    sums
+}
+
+/// A radius-1 window's sums from its 21 distinct samples, or `None` when
+/// its taps' samples do not chain ([`chained`]); `sx` and `sy` are the
+/// taps' columns and rows plus the pixel's flow, and `(tx0, ty0)` is the
+/// window's top-left pixel. The nine taps take 45 samples at the points
+/// of a 5×5 grid without its corners; each tap reads its five off the
+/// grid, so the sums are [`tap_sums`]' bit for bit.
+fn shared_sums(
+    level: &Level,
+    sx: [f32; 3],
+    sy: [f32; 3],
+    tx0: usize,
+    ty0: usize,
+) -> Option<[f32; 5]> {
+    let stride = level.width + 2 * PAD;
+    let cols = chained(sx, level.width, 1)?;
+    let rows = chained(sy, level.height, stride)?;
+    let mut grid = [[0.0f32; 5]; 5];
+    for (j, (row, &ys)) in grid.iter_mut().zip(&rows).enumerate() {
+        for (i, (v, &xs)) in row.iter_mut().zip(&cols).enumerate() {
+            // No tap reads the corners.
+            if (i == 0 || i == 4) && (j == 0 || j == 4) {
+                continue;
+            }
+            *v = bilerp(&level.padded, stride, xs, ys);
+        }
+    }
+    let mut sums = [0.0f32; 5];
+    for l in 0..3 {
+        let target = &level.target[(ty0 + l) * level.width + tx0..][..3];
+        for (k, &t) in target.iter().enumerate() {
+            let (i, j) = (k + 1, l + 1);
+            let ix = 0.5 * (grid[j][i + 1] - grid[j][i - 1]);
+            let iy = 0.5 * (grid[j + 1][i] - grid[j - 1][i]);
+            let it = grid[j][i] - t;
+            accumulate(&mut sums, &products(ix, iy, it));
+        }
+    }
+    Some(sums)
+}
+
+/// The five distinct samples three consecutive radius-1 taps at `s` take
+/// along an axis of `len` pixels and padded stride `stride`, in order, or
+/// `None` unless their samples chain and lie inside the pad. The taps
+/// sample at `s[k] - 1`, `s[k]` and `s[k] + 1`; they chain when each
+/// tap's `s + 1` and `s` equal the next tap's `s` and `s - 1`, so the
+/// nine samples are five with the same offsets and fractions. That fails
+/// only where `tx + fx` crosses a power of two, so `(tx + fx) + 1` rounds
+/// apart from `(tx + 1) + fx`.
+#[inline(always)]
+fn chained(s: [f32; 3], len: usize, stride: usize) -> Option<[Sample; 5]> {
+    let same = |a: f32, b: f32| a.to_bits() == b.to_bits();
+    let chain = (0..2).all(|k| same(s[k] + 1.0, s[k + 1]) && same(s[k], s[k + 1] - 1.0));
+    let at = [s[0] - 1.0, s[0], s[1], s[2], s[2] + 1.0];
+    (chain && in_pad(at[0], at[4], len)).then(|| at.map(|v| padded_sample(v, stride)))
+}
+
+/// The five products one tap adds to its window's sums, from its
+/// central-difference gradients of the warped source (`xa`, `ya`) and its
+/// target pixel `t`.
+#[inline(always)]
+fn tap_products(level: &Level, xa: &Axis, ya: &Axis, t: f32) -> [f32; 5] {
+    let (w, h) = (level.width, level.height);
+    let (ix, iy, it) = if xa.in_pad && ya.in_pad {
+        let at = |k: usize, l: usize| bilerp(&level.padded, w + 2 * PAD, xa.at[k], ya.at[l]);
+        (
+            0.5 * (at(2, 1) - at(0, 1)),
+            0.5 * (at(1, 2) - at(1, 0)),
+            at(1, 1) - t,
+        )
+    } else {
+        let sample = |x: f32, y: f32| sample_plane(level.source, w, h, x, y);
+        let (sxf, syf) = (xa.s, ya.s);
+        (
+            0.5 * (sample(sxf + 1.0, syf) - sample(sxf - 1.0, syf)),
+            0.5 * (sample(sxf, syf + 1.0) - sample(sxf, syf - 1.0)),
+            sample(sxf, syf) - t,
+        )
+    };
+    products(ix, iy, it)
+}
+
+/// `[ix·ix, ix·iy, iy·iy, ix·it, iy·it]`.
+#[inline(always)]
+fn products(ix: f32, iy: f32, it: f32) -> [f32; 5] {
+    [ix * ix, ix * iy, iy * iy, ix * it, iy * it]
+}
+
+/// Adds one tap's products to a window's sums.
+#[inline(always)]
+fn accumulate(sums: &mut [f32; 5], tap: &[f32; 5]) {
+    for (sum, v) in sums.iter_mut().zip(tap) {
+        *sum += v;
+    }
 }
 
 /// The updated flow of a pixel with flow `(fx, fy)` and window sums
@@ -466,6 +627,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Shared-sample radius-1 windows against the per-tap code on the
+    /// same windows, bit for bit, over seeded fractional flows on a frame
+    /// wide enough that some windows straddle x = 64 and x = 128, where
+    /// the axes stop chaining; both outcomes must occur.
+    #[test]
+    fn shared_samples_match_the_per_tap_code() {
+        use nerve_rng::{DetRng, Rng};
+        let mut rng = DetRng::new(0x5a3e);
+        let (w, h) = (150, 12);
+        let src = textured(w, h);
+        let tgt = shift(&src, 1, 1);
+        let level = Level::new(&src, &tgt);
+        let (mut shared, mut fallback) = (0, 0);
+        for _ in 0..20_000 {
+            let (x, y) = (rng.random_range(1..w - 1), rng.random_range(1..h - 1));
+            let (fx, fy) = (
+                rng.random_range(-3.0f32..3.0),
+                rng.random_range(-3.0f32..3.0),
+            );
+            let sx = [x - 1, x, x + 1].map(|tx| tx as f32 + fx);
+            let sy = [y - 1, y, y + 1].map(|ty| ty as f32 + fy);
+            let xs = sx.map(|s| Axis::new(s, w, 1));
+            let want = tap_sums(&level, &xs, x - 1, y - 1..=y + 1, fy).map(f32::to_bits);
+            match shared_sums(&level, sx, sy, x - 1, y - 1) {
+                Some(got) => {
+                    assert_eq!(got.map(f32::to_bits), want, "({x}, {y}) flow ({fx}, {fy})");
+                    shared += 1;
+                }
+                None => fallback += 1,
+            }
+        }
+        assert!(
+            shared > 0 && fallback > 0,
+            "{shared} shared, {fallback} fallback"
+        );
     }
 
     #[test]

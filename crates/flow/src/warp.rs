@@ -4,10 +4,12 @@
 //! grid by sampling the source at `p + flow(p)` — the backward-warping
 //! (grid-sample) operation the paper implements as a custom Metal kernel.
 //! The paper warps at 270p instead of 1080p to cut warp time from 29 ms
-//! to 5 ms; [`warp_frame_at_scale`] reproduces that trick.
+//! to 5 ms. [`warp_resized`] is this crate's reduced-resolution warp: it
+//! warps a frame by a low-resolution flow and resizes the result, but
+//! computes the warp only at the pixels the resize reads.
 
 use crate::field::FlowField;
-use nerve_video::frame::Frame;
+use nerve_video::frame::{resize_plane, sample_taps, Frame, Resize, Taps};
 
 /// Backward-warp: `out(p) = source(p + flow(p))`, bilinear, border-clamped.
 pub fn warp_frame(source: &Frame, flow: &FlowField) -> Frame {
@@ -42,21 +44,38 @@ pub fn warp_validity(flow: &FlowField) -> Frame {
     })
 }
 
-/// Warp at a reduced working resolution, then upsample the result.
-///
-/// This is the paper's 270p-warp optimization: `scale_divisor = 4` warps
-/// a 1080p frame at 270p. The flow is resampled onto the working grid.
-pub fn warp_frame_at_scale(source: &Frame, flow: &FlowField, scale_divisor: usize) -> Frame {
-    assert!(scale_divisor >= 1);
-    if scale_divisor == 1 {
-        return warp_frame(source, flow);
+/// `warp_frame(source, &flow.upsample(sw, sh)).resize(width, height)`,
+/// bit for bit, where `sw × sh` is the source's size. The upsampled flow
+/// and the warp are computed only at the source pixels whose rows and
+/// columns the resize reads ([`Resize::reads`]); a resize to the source's
+/// own size reads, and so warps, every pixel.
+pub fn warp_resized(source: &Frame, flow: &FlowField, width: usize, height: usize) -> Frame {
+    let (sw, sh) = (source.width(), source.height());
+    let (fw, fh) = (flow.width(), flow.height());
+    let (cols, rows) = Resize::new(sw, sh, width, height).reads();
+    // `FlowField::upsample` at the pixels read: its resize's taps at each
+    // read column and row, and its magnitude scales.
+    let upsample = Resize::new(fw, fh, sw, sh);
+    let col_taps: Vec<Taps> = cols.iter().map(|&x| upsample.taps_x(x)).collect();
+    let (scale_x, scale_y) = (sw as f32 / fw as f32, sh as f32 / fh as f32);
+    let (flow_dx, flow_dy) = flow.planes();
+    // Pixels the resize never reads stay zero.
+    let mut warped = vec![0.0f32; sw * sh];
+    for &y in &rows {
+        let row_taps = upsample.taps_y(y);
+        for (&x, &col_taps) in cols.iter().zip(&col_taps) {
+            let (dx, dy) = if upsample.copies() {
+                (flow_dx[y * fw + x], flow_dy[y * fw + x])
+            } else {
+                (
+                    sample_taps(flow_dx, fw, col_taps, row_taps),
+                    sample_taps(flow_dy, fw, col_taps, row_taps),
+                )
+            };
+            warped[y * sw + x] = source.sample(x as f32 + dx * scale_x, y as f32 + dy * scale_y);
+        }
     }
-    let ww = (source.width() / scale_divisor).max(2);
-    let wh = (source.height() / scale_divisor).max(2);
-    let small_src = source.resize(ww, wh);
-    let small_flow = flow.upsample(ww, wh); // resample (down or up) + rescale magnitudes
-    let small_warp = warp_frame(&small_src, &small_flow);
-    small_warp.resize(source.width(), source.height())
+    Frame::from_data(width, height, resize_plane(&warped, sw, sh, width, height))
 }
 
 #[cfg(test)]
@@ -93,23 +112,6 @@ mod tests {
         let flow0 = FlowField::zero(8, 8);
         let v0 = warp_validity(&flow0);
         assert!(v0.data().iter().all(|&x| x == 1.0));
-    }
-
-    #[test]
-    fn scaled_warp_approximates_full_warp() {
-        let f = textured(64, 64);
-        let flow = FlowField::constant(64, 64, 4.0, 2.0);
-        let full = warp_frame(&f, &flow);
-        let scaled = warp_frame_at_scale(&f, &flow, 2);
-        // The low-resolution warp loses detail but must stay close.
-        assert!(full.mad(&scaled) < 0.05, "mad {}", full.mad(&scaled));
-    }
-
-    #[test]
-    fn scale_divisor_one_is_exact() {
-        let f = textured(16, 16);
-        let flow = FlowField::constant(16, 16, 1.0, 1.0);
-        assert_eq!(warp_frame_at_scale(&f, &flow, 1), warp_frame(&f, &flow));
     }
 
     #[test]

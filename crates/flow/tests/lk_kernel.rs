@@ -15,7 +15,10 @@
 //! a bit. Single LK passes (`refine`) are checked against the oracle's
 //! pass on the shapes and flows that steer the eight-lane groups: frames
 //! too narrow for any group, every group tail, and one lane of an
-//! interior group pushed past the pad.
+//! interior group pushed past the pad. Frames wider than 128 with
+//! fractional flows steer the radius-1 windows that share their samples
+//! onto the per-tap fallback where `x + fx` crosses 64 and 128, and
+//! 1×N, N×1 and 2×2 frames cut every window of the zero-flow first pass.
 
 use nerve_flow::field::FlowField;
 use nerve_flow::lk::{estimate, refine, FlowConfig, PAD};
@@ -391,6 +394,75 @@ fn one_lane_past_the_pad_is_bit_identical() {
             let name = format!("{cname} lane ({x}, {y}) flow ({dx}, {dy})");
             let beyond = assert_refine_identical(&name, &src, &tgt, &flow, &config);
             assert!(beyond > 0, "{name}: no tap sampled beyond the pad");
+        }
+    }
+}
+
+/// A seeded flow, uniform in `(-reach, reach)` on both axes.
+fn random_flow(rng: &mut DetRng, w: usize, h: usize, reach: f32) -> FlowField {
+    let mut flow = FlowField::zero(w, h);
+    for y in 0..h {
+        for x in 0..w {
+            let (dx, dy) = (
+                rng.random_range(-reach..reach),
+                rng.random_range(-reach..reach),
+            );
+            flow.set(x, y, dx, dy);
+        }
+    }
+    flow
+}
+
+/// Whether the three taps of the radius-1 window around column `x`, at
+/// horizontal flow `fx`, take samples that do not chain: some tap's
+/// `s + 1` rounds apart from the next tap's `s`.
+fn unchained(x: usize, fx: f32) -> bool {
+    (0..2).any(|k| {
+        let s = (x - 1 + k) as f32 + fx;
+        (s + 1.0).to_bits() != ((x + k) as f32 + fx).to_bits()
+            || s.to_bits() != (((x + k) as f32 + fx) - 1.0).to_bits()
+    })
+}
+
+/// Widths above 128 with seeded fractional flows: radius-1 windows
+/// straddle x = 64 and x = 128, where their samples stop chaining and
+/// the per-tap code runs, and everywhere else they share samples. Single
+/// passes and whole estimates, for every config.
+#[test]
+fn wide_frames_with_fractional_flows_are_bit_identical() {
+    let mut rng = DetRng::new(0x1c8);
+    let mut straddling = 0;
+    for (cname, config) in configs() {
+        for (w, h) in [(129, 7), (150, 10), (203, 6)] {
+            let (src, tgt) = (noise(&mut rng, w, h), noise(&mut rng, w, h));
+            let flow = random_flow(&mut rng, w, h, 3.0);
+            for y in 1..h - 1 {
+                for x in (1..w - 1).filter(|x| (60..68).contains(x) || (124..132).contains(x)) {
+                    straddling += usize::from(unchained(x, flow.get(x, y).0));
+                }
+            }
+            assert_refine_identical(&format!("{cname} {w}x{h}"), &src, &tgt, &flow, &config);
+            let want = bits(&oracle::estimate(&src, &tgt, &config).0);
+            let got = bits(&estimate(&src, &tgt, &config));
+            assert!(got == want, "{cname} {w}x{h}: estimate differs");
+        }
+    }
+    assert!(straddling > 0, "no radius-1 window straddled 64 or 128");
+}
+
+/// 1×N, N×1 and 2×2 frames cut every window, in the zero-flow first
+/// pass of `estimate` and in single passes from a seeded flow.
+#[test]
+fn one_pixel_and_two_by_two_frames_are_bit_identical() {
+    let mut rng = DetRng::new(0x1b1);
+    for (cname, config) in configs() {
+        for (w, h) in [(1, 1), (1, 9), (1, 40), (9, 1), (40, 1), (2, 2)] {
+            let (src, tgt) = (noise(&mut rng, w, h), noise(&mut rng, w, h));
+            let flow = random_flow(&mut rng, w, h, 2.0);
+            assert_refine_identical(&format!("{cname} {w}x{h}"), &src, &tgt, &flow, &config);
+            let want = bits(&oracle::estimate(&src, &tgt, &config).0);
+            let got = bits(&estimate(&src, &tgt, &config));
+            assert!(got == want, "{cname} {w}x{h}: estimate differs");
         }
     }
 }

@@ -4,7 +4,7 @@
 use nerve_flow::field::FlowField;
 use nerve_flow::lk::{estimate, FlowConfig};
 use nerve_flow::pyramid::Pyramid;
-use nerve_flow::warp::{warp_frame, warp_validity};
+use nerve_flow::warp::{warp_frame, warp_resized, warp_validity};
 use nerve_rng::{check_cases, Rng};
 use nerve_video::frame::Frame;
 
@@ -86,6 +86,61 @@ fn warp_is_bitwise_the_per_pixel_sampler() {
             }
         }
     });
+}
+
+/// `warp_resized` against the eager warp at the source's size followed
+/// by the resize, bit for bit: seeded down-scales, up-scales, equal sizes
+/// (the resize copies) and 1-pixel outputs, from flows smaller than,
+/// larger than or as large as the source, holding the extreme components
+/// above.
+#[test]
+fn resized_warp_is_bitwise_the_eager_warp_then_resize() {
+    check_cases(
+        "resized_warp_is_bitwise_the_eager_warp_then_resize",
+        CASES,
+        |rng| {
+            let (sw, sh) = (rng.random_range(1..48usize), rng.random_range(1..32usize));
+            let source = textured_frame(sw, sh, rng.random_range(0.0f32..6.0));
+            // Some flows share the source's size: their upsample copies.
+            let (fw, fh) = if rng.random_bool(0.2) {
+                (sw, sh)
+            } else {
+                (rng.random_range(1..24usize), rng.random_range(1..24usize))
+            };
+            let reach = sw.max(sh) as f32 / 2.0;
+            let mut flow = FlowField::zero(fw, fh);
+            for y in 0..fh {
+                for x in 0..fw {
+                    let mut component = || {
+                        if rng.random_bool(0.1) {
+                            EXTREME[rng.random_range(0..EXTREME.len())]
+                        } else {
+                            rng.random_range(-reach..reach)
+                        }
+                    };
+                    let (dx, dy) = (component(), component());
+                    flow.set(x, y, dx, dy);
+                }
+            }
+            let (width, height) = match rng.random_range(0..4) {
+                0 => (rng.random_range(1..=sw), rng.random_range(1..=sh)),
+                1 => (
+                    rng.random_range(sw..2 * sw + 2),
+                    rng.random_range(sh..2 * sh + 2),
+                ),
+                2 => (sw, sh),
+                _ => (1, 1),
+            };
+            let want = warp_frame(&source, &flow.upsample(sw, sh)).resize(width, height);
+            let got = warp_resized(&source, &flow, width, height);
+            assert_eq!((got.width(), got.height()), (width, height));
+            let bits = |f: &Frame| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&got) == bits(&want),
+                "{sw}x{sh} source, {fw}x{fh} flow, {width}x{height} output"
+            );
+        },
+    );
 }
 
 #[test]

@@ -23,27 +23,47 @@ pub fn floor_exact(x: f32) -> f32 {
     }
 }
 
+/// The two pixels a bilinear sample reads along one axis, border-clamped,
+/// and the weight of the second.
+pub type Taps = (usize, usize, f32);
+
+/// The [`Taps`] of a bilinear sample at `x` along an axis of `len`
+/// pixels: the per-axis half of [`sample_plane`].
+#[inline(always)]
+fn bilinear_taps(x: f32, len: usize) -> Taps {
+    let x0 = floor_exact(x);
+    let xi = x0 as isize;
+    let last = len as isize - 1;
+    // Saturating: `+inf` floors to `isize::MAX`. Such a sample is NaN
+    // whichever pixels it reads, since its fraction is `inf - inf`.
+    (
+        xi.clamp(0, last) as usize,
+        xi.saturating_add(1).clamp(0, last) as usize,
+        x - x0,
+    )
+}
+
 /// Bilinear sample with border clamping of a row-major `width × height`
 /// plane — [`Frame::sample`] over a borrowed buffer. A NaN result is
 /// always [`f32::NAN`].
 #[inline]
 pub fn sample_plane(data: &[f32], width: usize, height: usize, x: f32, y: f32) -> f32 {
-    let x0 = floor_exact(x);
-    let y0 = floor_exact(y);
-    let fx = x - x0;
-    let fy = y - y0;
-    let xi = x0 as isize;
-    let yi = y0 as isize;
-    let (w, h) = (width as isize, height as isize);
-    let get =
-        |x: isize, y: isize| data[y.clamp(0, h - 1) as usize * width + x.clamp(0, w - 1) as usize];
-    // Saturating: `+inf` floors to `isize::MAX`. Such a sample is NaN
-    // whichever pixels it reads, since its fraction is `inf - inf`.
-    let (xj, yj) = (xi.saturating_add(1), yi.saturating_add(1));
-    let v00 = get(xi, yi);
-    let v01 = get(xj, yi);
-    let v10 = get(xi, yj);
-    let v11 = get(xj, yj);
+    sample_taps(
+        data,
+        width,
+        bilinear_taps(x, width),
+        bilinear_taps(y, height),
+    )
+}
+
+/// [`sample_plane`] from the column and row taps of its coordinates,
+/// such as a resize's ([`Resize::taps_x`], [`Resize::taps_y`]).
+#[inline(always)]
+pub fn sample_taps(data: &[f32], width: usize, (x0, x1, fx): Taps, (y0, y1, fy): Taps) -> f32 {
+    let v00 = data[y0 * width + x0];
+    let v01 = data[y0 * width + x1];
+    let v10 = data[y1 * width + x0];
+    let v11 = data[y1 * width + x1];
     let v = v00 * (1.0 - fx) * (1.0 - fy)
         + v01 * fx * (1.0 - fy)
         + v10 * (1.0 - fx) * fy
@@ -58,6 +78,87 @@ pub fn sample_plane(data: &[f32], width: usize, height: usize, x: f32, y: f32) -
     }
 }
 
+/// A bilinear resize of a `width × height` plane to `new_width ×
+/// new_height` (align-corners=false): where each output sample reads.
+/// [`resize_plane`] runs it over a whole plane. [`Resize::reads`] gives
+/// the source pixels the whole resize reads, so code that computes a
+/// plane only to resize it can compute just those, and
+/// [`Resize::taps_x`]/[`Resize::taps_y`] give one output sample's taps.
+#[derive(Debug, Clone, Copy)]
+pub struct Resize {
+    width: usize,
+    height: usize,
+    new_width: usize,
+    new_height: usize,
+    sx: f32,
+    sy: f32,
+}
+
+impl Resize {
+    pub fn new(width: usize, height: usize, new_width: usize, new_height: usize) -> Self {
+        Self {
+            width,
+            height,
+            new_width,
+            new_height,
+            sx: width as f32 / new_width as f32,
+            sy: height as f32 / new_height as f32,
+        }
+    }
+
+    /// Equal sizes: the resize copies the plane instead of sampling it.
+    #[inline]
+    pub fn copies(&self) -> bool {
+        (self.new_width, self.new_height) == (self.width, self.height)
+    }
+
+    #[inline]
+    fn source_x(&self, x: usize) -> f32 {
+        ((x as f32 + 0.5) * self.sx - 0.5).max(0.0)
+    }
+
+    #[inline]
+    fn source_y(&self, y: usize) -> f32 {
+        ((y as f32 + 0.5) * self.sy - 0.5).max(0.0)
+    }
+
+    /// The column taps of output column `x` when the resize samples:
+    /// [`sample_taps`] with them and [`Resize::taps_y`]'s is the output
+    /// pixel, bit for bit.
+    #[inline]
+    pub fn taps_x(&self, x: usize) -> Taps {
+        bilinear_taps(self.source_x(x), self.width)
+    }
+
+    /// The row taps of output row `y` when the resize samples.
+    #[inline]
+    pub fn taps_y(&self, y: usize) -> Taps {
+        bilinear_taps(self.source_y(y), self.height)
+    }
+
+    /// The source columns and the source rows the resize reads, each
+    /// ascending and without repeats: every pixel when it copies, else
+    /// both taps of every output column and row, zero-weight taps
+    /// included (they still carry a NaN or infinity through).
+    pub fn reads(&self) -> (Vec<usize>, Vec<usize>) {
+        if self.copies() {
+            return ((0..self.width).collect(), (0..self.height).collect());
+        }
+        fn read(len: usize, taps: impl Iterator<Item = Taps>) -> Vec<usize> {
+            let mut read = vec![false; len];
+            for (a, b, _) in taps {
+                read[a] = true;
+                read[b] = true;
+            }
+            (0..len).filter(|&i| read[i]).collect()
+        }
+        (
+            read(self.width, (0..self.new_width).map(|x| self.taps_x(x))),
+            read(self.height, (0..self.new_height).map(|y| self.taps_y(y))),
+        )
+    }
+}
+
 /// Bilinear resize of a row-major `width × height` plane —
 /// [`Frame::resize`] over a borrowed buffer.
 pub fn resize_plane(
@@ -67,17 +168,15 @@ pub fn resize_plane(
     new_width: usize,
     new_height: usize,
 ) -> Vec<f32> {
-    if (new_width, new_height) == (width, height) {
+    let resize = Resize::new(width, height, new_width, new_height);
+    if resize.copies() {
         return data.to_vec();
     }
-    let sx = width as f32 / new_width as f32;
-    let sy = height as f32 / new_height as f32;
     let mut out = Vec::with_capacity(new_width * new_height);
     for y in 0..new_height {
-        let fy = ((y as f32 + 0.5) * sy - 0.5).max(0.0);
+        let fy = resize.source_y(y);
         for x in 0..new_width {
-            let fx = ((x as f32 + 0.5) * sx - 0.5).max(0.0);
-            out.push(sample_plane(data, width, height, fx, fy));
+            out.push(sample_plane(data, width, height, resize.source_x(x), fy));
         }
     }
     out
