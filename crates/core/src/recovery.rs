@@ -327,12 +327,6 @@ impl RecoveryModel {
         &mut self.enhance
     }
 
-    /// Freeze the enhancement head into an int8 quantized variant (what
-    /// an NRVM delta update would ship to the device).
-    pub fn quantized_enhance(&self) -> nerve_tensor::quant::QuantizedHead {
-        nerve_tensor::quant::QuantizedHead::from_sequential(&self.enhance, 1)
-    }
-
     /// Analytic cost of one recovery at the configured resolution.
     pub fn cost(&self) -> nerve_tensor::CostReport {
         let (ww, wh) = self.config.working_dims();
@@ -1041,57 +1035,6 @@ mod tests {
         assert!(
             rec_psnr > reuse_psnr,
             "recovery {rec_psnr:.2} dB must beat reuse {reuse_psnr:.2} dB"
-        );
-    }
-
-    #[test]
-    fn int8_enhance_psnr_within_half_db_of_f32() {
-        // Briefly train the enhancement head so its weights are
-        // non-trivial, then compare the f32 head against its int8
-        // quantization on held-out frame pairs (ISSUE bound: < 0.5 dB).
-        let (mut video, encoder, mut model) = setup(17);
-        let mut prev = video.next_frame();
-        for _ in 0..20 {
-            let cur = video.next_frame();
-            let code = encoder.encode(&cur);
-            let (input, target) = model.enhance_sample(&prev.clone(), &cur, &code);
-            model.enhance_net_mut().train_step(&input, &target, |p, t| {
-                nerve_tensor::loss::charbonnier(p, t, 1e-3)
-            });
-            prev = cur;
-        }
-        let qhead = model.quantized_enhance();
-        let (ww, wh) = model.config().working_dims();
-        let mut worst_delta = 0.0f64;
-        for _ in 0..4 {
-            let cur = video.next_frame();
-            let code = encoder.encode(&cur);
-            let (input, _) = model.enhance_sample(&prev.clone(), &cur, &code);
-            // input channel 0 is the warped frame the residual adds to.
-            let warped = Frame::from_data(ww, wh, input.data()[..ww * wh].to_vec());
-            let res_f32 = model.enhance_net_mut().forward(&input);
-            let res_i8 = qhead.forward(&input);
-            let reconstruct = |res: &Tensor| {
-                Frame::from_data(
-                    ww,
-                    wh,
-                    warped
-                        .data()
-                        .iter()
-                        .zip(res.data().iter())
-                        .map(|(&w, &r)| (w + r).clamp(0.0, 1.0))
-                        .collect(),
-                )
-            };
-            let gt = cur.resize(ww, wh);
-            let p_f32 = psnr(&reconstruct(&res_f32), &gt);
-            let p_i8 = psnr(&reconstruct(&res_i8), &gt);
-            worst_delta = worst_delta.max(p_f32 - p_i8);
-            prev = cur;
-        }
-        assert!(
-            worst_delta < 0.5,
-            "int8 quantization costs {worst_delta:.3} dB (bound 0.5)"
         );
     }
 

@@ -3,8 +3,8 @@
 //! Measures MACs/sec for the direct and im2col+GEMM conv kernels over
 //! the shapes the pipeline actually runs (SR head, enhancement head,
 //! batcher backbone at occupancy 32), at 1/4/8 worker threads, plus the
-//! fused head and int8 variants. Every GEMM measurement is gated on
-//! bit-identity with the direct kernel before it counts.
+//! fused head against the staged ops. Every GEMM measurement is gated
+//! on bit-identity with the direct kernel before it counts.
 //!
 //! Writes `BENCH_tensor.json`. With `--digest-out PATH` it instead
 //! writes one FNV-1a digest per kernel output — wall-clock free, so CI
@@ -18,7 +18,6 @@ use nerve_tensor::conv::{conv2d, conv2d_direct, ConvSpec};
 use nerve_tensor::fused::{head_forward, PlaneSource};
 use nerve_tensor::gemm::conv2d_gemm;
 use nerve_tensor::net::Conv2d;
-use nerve_tensor::quant::{conv2d_i8, quantize};
 use nerve_tensor::{par, Tensor};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -152,7 +151,7 @@ fn main() {
         );
     }
 
-    // Fused head vs staged ops, and int8 vs f32, at the SR-head shape.
+    // Fused head vs staged ops at the SR-head shape.
     let (h, w) = (96usize, 160usize);
     let conv1 = seeded_conv(11, ConvSpec::same(3, 8, 3));
     let conv2 = seeded_conv(13, ConvSpec::same(8, 16, 3));
@@ -174,18 +173,8 @@ fn main() {
         let c2 = conv2d(&h1, &conv2.weight, &conv2.bias, conv2.spec);
         let _ = nerve_tensor::ops::pixel_shuffle(&c2, 4);
     });
-    let q2 = quantize(&conv2.weight, &conv2.bias, conv2.spec);
-    let i8_input = seeded_input(19, 1, 8, h, w);
-    let (conv2_macs, _) = conv2.spec.forward_work(1, h, w);
-    let i8_mps = time_macs_per_sec(conv2_macs, || {
-        let _ = conv2d_i8(&i8_input, &q2);
-    });
-    let f32_mps = time_macs_per_sec(conv2_macs, || {
-        let _ = conv2d(&i8_input, &conv2.weight, &conv2.bias, conv2.spec);
-    });
     eprintln!(
-        "[fused head: {fused_mps:.2e} MACs/s vs staged {staged_mps:.2e} ({:.2}x); \
-         int8 conv2: {i8_mps:.2e} vs f32 {f32_mps:.2e}]",
+        "[fused head: {fused_mps:.2e} MACs/s vs staged {staged_mps:.2e} ({:.2}x)]",
         fused_mps / staged_mps
     );
 
@@ -195,7 +184,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bin\": \"nerve-tensor-bench\",\n  \"workers\": {},\n  \"shapes\": [{shape_entries}\n  ],\n  \"sr_head_gemm_speedup\": {sr_head_speedup:.2},\n  \"fused_head\": {{\"fused_macs_per_sec\": {fused_mps:.3e}, \"staged_macs_per_sec\": {staged_mps:.3e}, \"speedup\": {:.2}}},\n  \"int8\": {{\"i8_macs_per_sec\": {i8_mps:.3e}, \"f32_macs_per_sec\": {f32_mps:.3e}}}\n}}\n",
+        "{{\n  \"bin\": \"nerve-tensor-bench\",\n  \"workers\": {},\n  \"shapes\": [{shape_entries}\n  ],\n  \"sr_head_gemm_speedup\": {sr_head_speedup:.2},\n  \"fused_head\": {{\"fused_macs_per_sec\": {fused_mps:.3e}, \"staged_macs_per_sec\": {staged_mps:.3e}, \"speedup\": {:.2}}}\n}}\n",
         par::workers(),
         fused_mps / staged_mps,
     );

@@ -19,6 +19,7 @@
 //! Padding is symmetric zero padding ("same" output size when
 //! `stride == 1` and `pad == k/2`).
 
+use crate::gemm;
 use crate::Tensor;
 
 /// Immutable description of a convolution.
@@ -196,8 +197,8 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec) -> 
     // before the worker split, so attribution is jobs-invariant.
     let (macs, bytes) = spec.forward_work(input.n(), input.h(), input.w());
     crate::meter::add_work(macs, bytes);
-    if crate::gemm::eligible(spec, out.h(), out.w()) {
-        crate::gemm::conv2d_gemm_into(input, weight, bias, spec, &mut out, macs);
+    if gemm::eligible(spec, out.h(), out.w()) {
+        gemm::conv2d_gemm_into(input, weight, bias, spec, &mut out, macs);
     } else {
         conv2d_direct_into(input, weight, bias, spec, &mut out, macs);
     }
@@ -228,7 +229,15 @@ fn conv2d_direct_into(
     out: &mut Tensor,
     macs: u64,
 ) {
-    let planes = input.n() * spec.out_channels;
+    let (h, w) = (input.h(), input.w());
+    // Each image's channel planes, borrowed once rather than per output plane.
+    let images: Vec<Vec<&[f32]>> = (0..input.n()).map(|n| image_planes(input, n)).collect();
+    let images = &images;
+    let oc_n = spec.out_channels;
+    let plane = move |p: usize, out: &mut [f32]| {
+        conv_plane(&images[p / oc_n], h, w, weight, bias, spec, p % oc_n, out)
+    };
+    let planes = input.n() * oc_n;
     let plane_len = out.h() * out.w();
     let workers = crate::par::workers().min(planes);
     if workers > 1 && !crate::par::in_pool() && macs >= PAR_MIN_MACS {
@@ -249,44 +258,82 @@ fn conv2d_direct_into(
             for group in groups {
                 s.spawn(move || {
                     let _in_pool = crate::par::PoolGuard::new();
-                    for (p, plane) in group {
-                        conv_plane(input, weight, bias, spec, p, plane);
+                    for (p, out) in group {
+                        plane(p, out);
                     }
                 });
             }
         });
     } else {
-        for (p, plane) in out.data_mut().chunks_mut(plane_len).enumerate() {
-            conv_plane(input, weight, bias, spec, p, plane);
+        for (p, out) in out.data_mut().chunks_mut(plane_len).enumerate() {
+            plane(p, out);
         }
     }
 }
 
-/// Compute output plane `p` (flat batch×channel index: batch item
-/// `p / out_channels`, channel `p % out_channels`) into `plane`. Shared
-/// by the serial and parallel forward paths.
+/// Image `n` of `input` as borrowed `h x w` channel planes.
+pub(crate) fn image_planes(input: &Tensor, n: usize) -> Vec<&[f32]> {
+    let hw = input.h() * input.w();
+    let base = n * input.c() * hw;
+    (0..input.c())
+        .map(|ic| &input.data()[base + ic * hw..base + (ic + 1) * hw])
+        .collect()
+}
+
+/// Forward convolution of one image, given as borrowed `h x w` channel
+/// planes, into `out` (`out_channels` contiguous output planes). Serial
+/// and uncharged: the caller charges the meter. Dispatches like
+/// [`conv2d`], so its bits match `conv2d` on the same image. The fused
+/// head ([`crate::fused`]) runs both of its convs through here.
+pub(crate) fn conv_image(
+    planes: &[&[f32]],
+    h: usize,
+    w: usize,
+    weight: &Tensor,
+    bias: &[f32],
+    spec: ConvSpec,
+    out: &mut [f32],
+) {
+    let (oh, ow) = spec.out_size(h, w);
+    let plane_len = oh * ow;
+    if gemm::eligible(spec, oh, ow) {
+        let k_len = spec.in_channels * spec.kernel * spec.kernel;
+        let mut col = vec![0.0f32; k_len * plane_len];
+        gemm::im2col_planes(planes, h, w, spec, oh, ow, &mut col);
+        let oc = spec.out_channels;
+        gemm::gemm_rows(weight, bias, &col, k_len, plane_len, 0, oc, out);
+    } else {
+        for (oc, out) in out.chunks_mut(plane_len).enumerate() {
+            conv_plane(planes, h, w, weight, bias, spec, oc, out);
+        }
+    }
+}
+
+/// Compute output channel `oc` of one image, given as its borrowed
+/// `h x w` input channel planes, into `out`. Shared by the serial and
+/// parallel forward paths and by [`conv_image`].
 ///
 /// The interior region — output positions whose kernel window lies fully
 /// inside the unpadded input — is hoisted into a slice-based fast path:
 /// row slices of input and weight are walked with zipped iterators, no
-/// per-element bounds branch or `Tensor::get` index arithmetic. Border
-/// positions keep the branchy loop. Both paths accumulate taps in the
-/// same ascending `(ic, ky, kx)` order, so the split is bit-invisible.
+/// per-element bounds branch. Border positions keep the branchy loop.
+/// Both paths accumulate taps in the same ascending `(ic, ky, kx)`
+/// order, so the split is bit-invisible.
+#[allow(clippy::too_many_arguments)]
 fn conv_plane(
-    input: &Tensor,
+    planes: &[&[f32]],
+    h: usize,
+    w: usize,
     weight: &Tensor,
     bias: &[f32],
     spec: ConvSpec,
-    p: usize,
-    plane: &mut [f32],
+    oc: usize,
+    out: &mut [f32],
 ) {
-    let (oh, ow) = spec.out_size(input.h(), input.w());
-    let n = p / spec.out_channels;
-    let oc = p % spec.out_channels;
-    let (h, w) = (input.h(), input.w());
-    let (k, stride, pad, in_c) = (spec.kernel, spec.stride, spec.pad, spec.in_channels);
-    let data = input.data();
+    let (oh, ow) = spec.out_size(h, w);
+    let (k, stride, pad) = (spec.kernel, spec.stride, spec.pad);
     let wdata = weight.data();
+    let wbase = |ic: usize| (oc * spec.in_channels + ic) * k * k;
     let bias_v = bias[oc];
 
     // Border fallback: per-tap bounds checks, skipping padded positions.
@@ -294,7 +341,8 @@ fn conv_plane(
         let mut acc = bias_v;
         let iy0 = (oy * stride) as isize - pad as isize;
         let ix0 = (ox * stride) as isize - pad as isize;
-        for ic in 0..in_c {
+        for (ic, p) in planes.iter().enumerate() {
+            let wb = wbase(ic);
             for ky in 0..k as isize {
                 let iy = iy0 + ky;
                 if iy < 0 || iy >= h as isize {
@@ -305,8 +353,8 @@ fn conv_plane(
                     if ix < 0 || ix >= w as isize {
                         continue;
                     }
-                    acc += input.get(n, ic, iy as usize, ix as usize)
-                        * weight.get(oc, ic, ky as usize, kx as usize);
+                    acc += p[iy as usize * w + ix as usize]
+                        * wdata[wb + (ky * k as isize + kx) as usize];
                 }
             }
         }
@@ -329,7 +377,7 @@ fn conv_plane(
     let (x_lo, x_hi) = interior(w, ow);
 
     for oy in 0..oh {
-        let row_out = &mut plane[oy * ow..(oy + 1) * ow];
+        let row_out = &mut out[oy * ow..(oy + 1) * ow];
         if oy < y_lo || oy >= y_hi {
             for (ox, v) in row_out.iter_mut().enumerate() {
                 *v = edge(oy, ox);
@@ -341,14 +389,13 @@ fn conv_plane(
             *v = edge(oy, ox);
         }
         for (ox, v) in row_out.iter_mut().enumerate().take(x_hi).skip(x_lo) {
-            let ix0 = ox * stride - pad;
+            let ibase = iy0 * w + ox * stride - pad;
             let mut acc = bias_v;
-            for ic in 0..in_c {
-                let ibase = ((n * in_c + ic) * h + iy0) * w + ix0;
-                let wbase = (oc * in_c + ic) * k * k;
+            for (ic, p) in planes.iter().enumerate() {
+                let wb = wbase(ic);
                 for ky in 0..k {
-                    let irow = &data[ibase + ky * w..ibase + ky * w + k];
-                    let wrow = &wdata[wbase + ky * k..wbase + (ky + 1) * k];
+                    let irow = &p[ibase + ky * w..ibase + ky * w + k];
+                    let wrow = &wdata[wb + ky * k..wb + (ky + 1) * k];
                     for (x, wv) in irow.iter().zip(wrow) {
                         acc += x * wv;
                     }

@@ -1,5 +1,5 @@
-//! Fused head forward: warp → conv+ReLU → conv → PixelShuffle in one
-//! call over flat scratch buffers.
+//! Fused head forward: conv+ReLU → conv → PixelShuffle in one call
+//! over borrowed channel planes.
 //!
 //! The SR and enhancement heads are two 3x3 same-convs with a ReLU
 //! between and (for SR) a PixelShuffle after. Run through
@@ -7,48 +7,38 @@
 //! `Tensor` allocations: the channel concat, a cached clone of every
 //! layer input (training bookkeeping the inference path never uses),
 //! and each layer's output. [`head_forward`] takes the input as borrowed
-//! channel planes — no concat — optionally warping them in place, and
-//! runs both convs through the same kernels `conv2d` dispatches to,
-//! writing the shuffled output directly. Three flat scratch buffers,
-//! zero per-layer tensors.
+//! channel planes — no concat — runs both convs through `conv.rs`'s
+//! per-image entry (the same GEMM/direct kernels `conv2d` dispatches
+//! to), and writes the shuffled output directly. It has no kernel of
+//! its own.
 //!
 //! # Bit-identity contract
 //!
-//! The staged pipeline (`grid_sample` → `concat_channels` →
-//! `Sequential::forward`) and this fused pass produce identical bits:
-//! the warp replicates `Tensor::sample_bilinear` term-for-term, the
-//! convs share the direct/GEMM kernels and their ordered accumulation,
-//! ReLU is the same `max(0.0)` applied after each element's full sum,
-//! and PixelShuffle is a pure permutation. The property suite pins this
-//! over a seeded grid.
+//! The staged pipeline (`concat_channels` → `Sequential::forward`) and
+//! this fused pass produce identical bits: the convs are `conv2d`'s
+//! kernels with their ordered accumulation, ReLU is the same
+//! `max(0.0)` applied after each element's full sum, and PixelShuffle
+//! is a pure permutation. The property suite pins this over a seeded
+//! grid.
 //!
 //! # Meter contract
 //!
 //! Charges exactly what the staged path would: two conv charges
-//! ([`crate::conv::ConvSpec::forward_work`]) on the caller thread, nothing for the
-//! warp or shuffle (the staged ops never self-reported those; callers
-//! that meter warps charge them explicitly, as `recovery.rs` does).
-//! Traces and digests cannot tell the paths apart.
+//! ([`crate::conv::ConvSpec::forward_work`]) on the caller thread,
+//! nothing for the shuffle. Traces and digests cannot tell the paths
+//! apart.
 
-use crate::gemm;
+use crate::conv::conv_image;
 use crate::net::Conv2d;
 use crate::Tensor;
 
-/// One input channel for [`head_forward`], either ready or to be warped.
+/// One input channel for [`head_forward`].
 pub enum PlaneSource<'a> {
     /// A ready `h*w` channel plane (row-major).
     Slice(&'a [f32]),
-    /// Backward-warp `src` by a dense per-pixel flow before the conv:
-    /// `plane(y, x) = src(y + flow_y(y,x), x + flow_x(y,x))`, bilinear
-    /// with border clamp — exactly `ops::grid_sample` on one plane.
-    Warp {
-        src: &'a [f32],
-        flow_x: &'a [f32],
-        flow_y: &'a [f32],
-    },
 }
 
-/// Fused `warp → conv1+ReLU → conv2 → PixelShuffle(r)` forward for a
+/// Fused `conv1+ReLU → conv2 → PixelShuffle(r)` forward for a
 /// single-image head. `srcs` are the `conv1.spec.in_channels` input
 /// planes at `h x w`; both convs must be stride-1 "same" geometry and
 /// `conv2.spec.out_channels` divisible by `r*r`. Returns
@@ -85,60 +75,23 @@ pub fn head_forward(
     let (m2, b2) = s2.forward_work(1, h, w);
     crate::meter::add_work(m1 + m2, b1 + b2);
 
-    // Materialize warp sources into one scratch buffer; borrow the rest.
-    let n_warp = srcs
+    let planes: Vec<&[f32]> = srcs
         .iter()
-        .filter(|s| matches!(s, PlaneSource::Warp { .. }))
-        .count();
-    let mut warp_buf = vec![0.0f32; n_warp * plane];
-    {
-        let mut chunks = warp_buf.chunks_mut(plane.max(1));
-        for s in srcs {
-            if let PlaneSource::Warp {
-                src,
-                flow_x,
-                flow_y,
-            } = s
-            {
-                warp_plane(
-                    src,
-                    flow_x,
-                    flow_y,
-                    h,
-                    w,
-                    chunks.next().expect("warp chunk"),
-                );
-            }
-        }
-    }
-    let mut planes: Vec<&[f32]> = Vec::with_capacity(srcs.len());
-    {
-        let mut wi = 0;
-        for s in srcs {
-            match s {
-                PlaneSource::Slice(p) => {
-                    assert_eq!(p.len(), plane, "plane length mismatch");
-                    planes.push(p);
-                }
-                PlaneSource::Warp { .. } => {
-                    planes.push(&warp_buf[wi * plane..(wi + 1) * plane]);
-                    wi += 1;
-                }
-            }
-        }
-    }
-
-    // Stage 1: conv1 + ReLU into flat hidden planes.
-    let mut col = Vec::new();
+        .map(|PlaneSource::Slice(p)| {
+            assert_eq!(p.len(), plane, "plane length mismatch");
+            *p
+        })
+        .collect();
     let mut hidden = vec![0.0f32; s1.out_channels * plane];
-    conv_stage(&planes, h, w, conv1, true, &mut hidden, &mut col);
-
-    // Stage 2: conv2 into flat planes, then scatter through the
-    // PixelShuffle permutation directly into the output tensor.
-    let hidden_refs: Vec<&[f32]> = hidden.chunks(plane).collect();
+    conv_image(&planes, h, w, &conv1.weight, &conv1.bias, s1, &mut hidden);
+    for v in hidden.iter_mut() {
+        *v = v.max(0.0);
+    }
+    let hidden: Vec<&[f32]> = hidden.chunks(plane).collect();
     let mut conv_out = vec![0.0f32; s2.out_channels * plane];
-    conv_stage(&hidden_refs, h, w, conv2, false, &mut conv_out, &mut col);
+    conv_image(&hidden, h, w, &conv2.weight, &conv2.bias, s2, &mut conv_out);
 
+    // Scatter through the PixelShuffle permutation.
     let c_out = s2.out_channels / (r * r);
     let mut out = Tensor::zeros(1, c_out, h * r, w * r);
     let wr = w * r;
@@ -155,153 +108,6 @@ pub fn head_forward(
         }
     }
     out
-}
-
-/// One conv layer over borrowed channel planes, optional fused ReLU.
-/// Dispatches GEMM vs direct exactly like `conv2d`; either way each
-/// output element is the ordered bias-first tap sum, and ReLU is
-/// applied after the sum completes — bit-identical to the staged
-/// conv-then-relu pair.
-fn conv_stage(
-    planes: &[&[f32]],
-    h: usize,
-    w: usize,
-    conv: &Conv2d,
-    relu: bool,
-    out: &mut [f32],
-    col: &mut Vec<f32>,
-) {
-    let spec = conv.spec;
-    let plane = h * w;
-    let k_len = spec.in_channels * spec.kernel * spec.kernel;
-    if gemm::eligible(spec, h, w) {
-        col.resize(k_len * plane, 0.0);
-        gemm::im2col_planes(planes, h, w, spec, h, w, col);
-        gemm::gemm_rows(
-            &conv.weight,
-            &conv.bias,
-            col,
-            k_len,
-            plane,
-            0,
-            spec.out_channels,
-            out,
-        );
-    } else {
-        direct_planes(planes, h, w, conv, out);
-    }
-    if relu {
-        for v in out.iter_mut() {
-            *v = v.max(0.0);
-        }
-    }
-}
-
-/// Direct kernel over borrowed planes: the same interior-fast-path /
-/// branchy-border split and tap order as `conv_plane`.
-fn direct_planes(planes: &[&[f32]], h: usize, w: usize, conv: &Conv2d, out: &mut [f32]) {
-    let spec = conv.spec;
-    let k = spec.kernel;
-    let pad = spec.pad;
-    let wdata = conv.weight.data();
-    let plane = h * w;
-
-    // stride == 1, k == 2*pad + 1: output position `o` is pad-free iff
-    // `pad <= o < len - pad`.
-    let y_lo = pad.min(h);
-    let y_hi = h.saturating_sub(pad).max(y_lo);
-    let x_lo = pad.min(w);
-    let x_hi = w.saturating_sub(pad).max(x_lo);
-    for (oc, out_plane) in out.chunks_mut(plane).enumerate() {
-        let bias_v = conv.bias[oc];
-        let edge = |oy: usize, ox: usize| -> f32 {
-            let mut acc = bias_v;
-            for (ic, p) in planes.iter().enumerate() {
-                let wbase = (oc * spec.in_channels + ic) * k * k;
-                for ky in 0..k as isize {
-                    let iy = oy as isize + ky - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..k as isize {
-                        let ix = ox as isize + kx - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        acc += p[iy as usize * w + ix as usize]
-                            * wdata[wbase + (ky * k as isize + kx) as usize];
-                    }
-                }
-            }
-            acc
-        };
-        for oy in 0..h {
-            let row_out = &mut out_plane[oy * w..(oy + 1) * w];
-            if oy < y_lo || oy >= y_hi {
-                // Border row (clipped window).
-                for (ox, v) in row_out.iter_mut().enumerate() {
-                    *v = edge(oy, ox);
-                }
-                continue;
-            }
-            let iy0 = oy - pad;
-            for (ox, v) in row_out.iter_mut().enumerate().take(x_lo) {
-                *v = edge(oy, ox);
-            }
-            for (ox, v) in row_out.iter_mut().enumerate().take(x_hi).skip(x_lo) {
-                let ix0 = ox - pad;
-                let mut acc = bias_v;
-                for (ic, p) in planes.iter().enumerate() {
-                    let wbase = (oc * spec.in_channels + ic) * k * k;
-                    for ky in 0..k {
-                        let irow = &p[(iy0 + ky) * w + ix0..(iy0 + ky) * w + ix0 + k];
-                        let wrow = &wdata[wbase + ky * k..wbase + (ky + 1) * k];
-                        for (x, wv) in irow.iter().zip(wrow) {
-                            acc += x * wv;
-                        }
-                    }
-                }
-                *v = acc;
-            }
-            for (ox, v) in row_out.iter_mut().enumerate().skip(x_hi) {
-                *v = edge(oy, ox);
-            }
-        }
-    }
-}
-
-/// Backward-warp one plane: replicates `Tensor::sample_bilinear` (and
-/// `ops::grid_sample`) term-for-term, border-clamped.
-fn warp_plane(src: &[f32], flow_x: &[f32], flow_y: &[f32], h: usize, w: usize, out: &mut [f32]) {
-    assert_eq!(src.len(), h * w, "warp src length mismatch");
-    assert_eq!(flow_x.len(), h * w, "flow_x length mismatch");
-    assert_eq!(flow_y.len(), h * w, "flow_y length mismatch");
-    let at = |y: isize, x: isize| -> f32 {
-        let y = y.clamp(0, h as isize - 1) as usize;
-        let x = x.clamp(0, w as isize - 1) as usize;
-        src[y * w + x]
-    };
-    for y in 0..h {
-        for x in 0..w {
-            let i = y * w + x;
-            let sy = y as f32 + flow_y[i];
-            let sx = x as f32 + flow_x[i];
-            let y0 = sy.floor();
-            let x0 = sx.floor();
-            let fy = sy - y0;
-            let fx = sx - x0;
-            let y0i = y0 as isize;
-            let x0i = x0 as isize;
-            let v00 = at(y0i, x0i);
-            let v01 = at(y0i, x0i + 1);
-            let v10 = at(y0i + 1, x0i);
-            let v11 = at(y0i + 1, x0i + 1);
-            out[i] = v00 * (1.0 - fy) * (1.0 - fx)
-                + v01 * (1.0 - fy) * fx
-                + v10 * fy * (1.0 - fx)
-                + v11 * fy * fx;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +138,13 @@ mod tests {
 
     #[test]
     fn fused_matches_staged_sequential_bitwise() {
-        for (cin, hid, r, h, w) in [(3, 8, 4, 12, 20), (4, 8, 1, 9, 15), (3, 6, 2, 16, 16)] {
+        for (cin, hid, r, h, w) in [
+            (3, 8, 4, 12, 20),
+            (4, 8, 1, 9, 15),
+            (3, 6, 2, 16, 16),
+            // K = 18 < 24 and a 45-pixel plane: both convs run direct.
+            (2, 3, 2, 5, 9),
+        ] {
             let conv1 = seeded_conv(101, ConvSpec::same(cin, hid, 3));
             let conv2 = seeded_conv(202, ConvSpec::same(hid, r * r, 3));
             let data = fill(303, cin * h * w);
@@ -353,49 +165,6 @@ mod tests {
             assert_eq!(fused.shape(), expect.shape(), "r={r}");
             assert_eq!(fused.data(), expect.data(), "r={r}");
         }
-    }
-
-    #[test]
-    fn fused_warp_source_matches_grid_sample() {
-        let (h, w) = (11, 17);
-        let src = fill(1, h * w);
-        let flow_x = fill(2, h * w).iter().map(|v| v * 3.0).collect::<Vec<_>>();
-        let flow_y = fill(3, h * w).iter().map(|v| v * 3.0).collect::<Vec<_>>();
-        let other = fill(4, h * w);
-
-        let conv1 = seeded_conv(55, ConvSpec::same(2, 4, 3));
-        let conv2 = seeded_conv(66, ConvSpec::same(4, 1, 3));
-        let fused = head_forward(
-            &[
-                PlaneSource::Warp {
-                    src: &src,
-                    flow_x: &flow_x,
-                    flow_y: &flow_y,
-                },
-                PlaneSource::Slice(&other),
-            ],
-            h,
-            w,
-            &conv1,
-            &conv2,
-            1,
-        );
-
-        // Staged: grid_sample the plane, concat, conv, relu, conv.
-        let src_t = Tensor::from_plane(h, w, src.clone());
-        let mut flow = Tensor::zeros(1, 2, h, w);
-        flow.data_mut()[..h * w].copy_from_slice(&flow_x);
-        flow.data_mut()[h * w..].copy_from_slice(&flow_y);
-        let warped = ops::grid_sample(&src_t, &flow);
-        let input = Tensor::concat_channels(&[&warped, &Tensor::from_plane(h, w, other.clone())]);
-        let h1 = ops::relu(&crate::conv::conv2d(
-            &input,
-            &conv1.weight,
-            &conv1.bias,
-            conv1.spec,
-        ));
-        let expect = crate::conv::conv2d(&h1, &conv2.weight, &conv2.bias, conv2.spec);
-        assert_eq!(fused.data(), expect.data());
     }
 
     #[test]

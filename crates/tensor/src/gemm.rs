@@ -30,7 +30,7 @@
 //! The meter charge happens in [`crate::conv::conv2d`] before dispatch,
 //! so this path is cost-invisible: same analytic MACs/bytes as direct.
 
-use crate::conv::{ConvSpec, PAR_MIN_MACS};
+use crate::conv::{image_planes, ConvSpec, PAR_MIN_MACS};
 use crate::Tensor;
 
 /// Lane width of the microkernel: one weight value broadcast against
@@ -145,22 +145,17 @@ pub(crate) fn conv2d_gemm_into(
 
 /// Unfold image `n` of a tensor into the `K x P` column panel.
 fn im2col_image(input: &Tensor, n: usize, spec: ConvSpec, oh: usize, ow: usize, col: &mut [f32]) {
-    let (h, w) = (input.h(), input.w());
-    let hw = h * w;
-    let base = n * spec.in_channels * hw;
-    let data = input.data();
-    let planes: Vec<&[f32]> = (0..spec.in_channels)
-        .map(|ic| &data[base + ic * hw..base + (ic + 1) * hw])
-        .collect();
-    im2col_planes(&planes, h, w, spec, oh, ow, col);
+    let planes = image_planes(input, n);
+    im2col_planes(&planes, input.h(), input.w(), spec, oh, ow, col);
 }
 
 /// Unfold a set of `h x w` channel planes into the `K x P` column panel:
 /// row `(ic*k + ky)*k + kx`, column `oy*ow + ox`, value
 /// `plane[ic][oy*stride - pad + ky][ox*stride - pad + kx]` with explicit
 /// zeros where the window leaves the input. Stride-1 rows reduce to one
-/// `copy_from_slice` of the valid span. Shared with the fused head path
-/// ([`crate::fused`]), which feeds virtual (non-`Tensor`) planes.
+/// `copy_from_slice` of the valid span. Shared with
+/// `conv::conv_image`, which takes borrowed planes rather than a
+/// `Tensor` (the fused head's input and hidden planes).
 pub(crate) fn im2col_planes(
     planes: &[&[f32]],
     h: usize,

@@ -12,11 +12,10 @@
 //!   and bias gradients), "same" padding, arbitrary stride. Forward passes
 //!   dispatch by shape between a direct kernel and the im2col + blocked
 //!   GEMM path in [`gemm`]; both are bit-identical.
-//! * [`fused`] — single-pass `warp → conv → PixelShuffle` head forward
-//!   that kills the intermediate tensor allocations on the SR/recovery
-//!   hot path while staying bit- and cost-identical to the staged ops.
-//! * [`quant`] — post-training int8 quantized inference (per-out-channel
-//!   weight scales, i32 accumulation) for shipping cheap frozen heads.
+//! * [`fused`] — single-pass `conv → ReLU → conv → PixelShuffle` head
+//!   forward over borrowed channel planes, on [`conv`]'s kernels, that
+//!   skips the intermediate tensor allocations on the SR/recovery hot
+//!   path while staying bit- and cost-identical to the staged ops.
 //! * [`ops`] — ReLU / leaky-ReLU, [`ops::pixel_shuffle`] (the paper's
 //!   upsampling primitive, from Shi et al.), bilinear resize, and
 //!   [`ops::grid_sample`] warping (the paper implements this as a custom
@@ -46,7 +45,6 @@ pub mod net;
 pub mod ops;
 pub mod optim;
 pub mod par;
-pub mod quant;
 pub mod tensor;
 
 pub use flops::CostReport;

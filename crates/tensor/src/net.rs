@@ -31,9 +31,9 @@ pub trait Layer {
     fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
         (h, w)
     }
-    /// Downcast hook for inference-only paths (fused kernels,
-    /// quantization) that need the conv weights without forwarding
-    /// through the trainable container.
+    /// Downcast hook for inference-only paths (the fused head) that
+    /// need the conv weights without forwarding through the trainable
+    /// container.
     fn as_conv(&self) -> Option<&Conv2d> {
         None
     }
@@ -336,9 +336,9 @@ impl Sequential {
     }
 
     /// The convolution layers of the chain, in order. Inference-only
-    /// callers use this to route the head through the fused / quantized
-    /// kernels ([`crate::fused`], [`crate::quant`]) without paying the
-    /// per-layer input clones `forward` keeps for training.
+    /// callers use this to route the head through [`crate::fused`]
+    /// without paying the per-layer input clones `forward` keeps for
+    /// training.
     pub fn conv_layers(&self) -> Vec<&Conv2d> {
         self.layers.iter().filter_map(|l| l.as_conv()).collect()
     }

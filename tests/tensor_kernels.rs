@@ -9,7 +9,6 @@ use nerve_tensor::conv::{conv2d, conv2d_direct, ConvSpec};
 use nerve_tensor::fused::{head_forward, PlaneSource};
 use nerve_tensor::gemm::conv2d_gemm;
 use nerve_tensor::net::Conv2d;
-use nerve_tensor::quant::quantize;
 use nerve_tensor::{meter, Tensor};
 use std::sync::Mutex;
 
@@ -277,62 +276,6 @@ fn fused_head_is_bit_identical_to_staged_at_every_worker_count() {
             fused.data(),
             "fused head diverged from staged ops at {workers} workers"
         );
-    }
-}
-
-#[test]
-fn fused_warp_source_matches_staged_grid_sample_pipeline() {
-    let (h, w) = (24usize, 40usize);
-    let src = fill(31, h * w);
-    let flow_x: Vec<f32> = fill(33, h * w).iter().map(|v| v * 4.0).collect();
-    let flow_y: Vec<f32> = fill(35, h * w).iter().map(|v| v * 4.0).collect();
-    let still = fill(37, h * w);
-    let conv1 = seeded_conv(39, ConvSpec::same(2, 8, 3));
-    let conv2 = seeded_conv(41, ConvSpec::same(8, 4, 3));
-
-    let fused = head_forward(
-        &[
-            PlaneSource::Warp {
-                src: &src,
-                flow_x: &flow_x,
-                flow_y: &flow_y,
-            },
-            PlaneSource::Slice(&still),
-        ],
-        h,
-        w,
-        &conv1,
-        &conv2,
-        2,
-    );
-
-    let src_t = Tensor::from_plane(h, w, src.clone());
-    let mut flow = Tensor::zeros(1, 2, h, w);
-    flow.data_mut()[..h * w].copy_from_slice(&flow_x);
-    flow.data_mut()[h * w..].copy_from_slice(&flow_y);
-    let warped = nerve_tensor::ops::grid_sample(&src_t, &flow);
-    let input = Tensor::concat_channels(&[&warped, &Tensor::from_plane(h, w, still.clone())]);
-    let h1 = nerve_tensor::ops::relu(&conv2d(&input, &conv1.weight, &conv1.bias, conv1.spec));
-    let c2 = conv2d(&h1, &conv2.weight, &conv2.bias, conv2.spec);
-    let staged = nerve_tensor::ops::pixel_shuffle(&c2, 2);
-    assert_eq!(fused.data(), staged.data());
-}
-
-#[test]
-fn int8_round_trip_error_stays_within_half_a_step() {
-    for seed in [1u32, 7, 1001] {
-        let spec = ConvSpec::same(4, 8, 3);
-        let conv = seeded_conv(seed, spec);
-        let q = quantize(&conv.weight, &conv.bias, spec);
-        let back = q.dequantize();
-        let taps = spec.in_channels * spec.kernel * spec.kernel;
-        for (i, (orig, deq)) in conv.weight.data().iter().zip(back.data()).enumerate() {
-            let bound = q.w_scale[i / taps] * 0.5 + 1e-7;
-            assert!(
-                (orig - deq).abs() <= bound,
-                "seed {seed} tap {i}: {orig} vs {deq}"
-            );
-        }
     }
 }
 
