@@ -5,7 +5,7 @@
 //! sessions: the per-call fixed cost (weight traversal, cache warmup,
 //! dispatch) dominates and the worker pool starves on tiny kernels. The
 //! batcher coalesces every session's pending SR/recovery head into **one
-//! stacked `conv2d` call** ([`nerve_tensor::Tensor::stack`]) so the
+//! stacked `conv2d` call** (one `[jobs, c, h, w]` batch tensor) so the
 //! batch × out-channel split in [`nerve_tensor::conv::conv2d`] actually
 //! has planes to distribute across the [`nerve_tensor::par`] pool.
 //!
@@ -527,12 +527,17 @@ impl InferenceBatcher {
         // + blocked GEMM path, so per-job cost at occupancy 8/32 drops
         // without the meter charge (analytic, pre-dispatch) changing.
         if !batch_members.is_empty() {
-            let inputs: Vec<Tensor> = batch_members
+            // Each job's input is drawn straight into its slot of the
+            // stacked batch.
+            let m = &self.model;
+            let mut stacked = Tensor::zeros(batch_members.len(), m.in_channels, m.height, m.width);
+            let job_len = m.in_channels * m.height * m.width;
+            for (&idx, slot) in batch_members
                 .iter()
-                .map(|&idx| self.job_input(&jobs[idx]))
-                .collect();
-            let refs: Vec<&Tensor> = inputs.iter().collect();
-            let stacked = Tensor::stack(&refs);
+                .zip(stacked.data_mut().chunks_exact_mut(job_len))
+            {
+                self.job_input(&jobs[idx], slot);
+            }
             // The "batch" meter scope: server-side backbone compute,
             // distinct from any client-side pipeline stage.
             let out = meter::stage("batch", || {
@@ -569,21 +574,18 @@ impl InferenceBatcher {
         outcomes
     }
 
-    /// Synthetic input features for one job: a pure function of
-    /// `(session seed, chunk, frame)`, independent of enqueue order.
-    fn job_input(&self, job: &InferenceJob) -> Tensor {
+    /// Synthetic input features for one job, written into `out` (its
+    /// `in_channels x height x width` slot of the stacked batch): a pure
+    /// function of `(session seed, chunk, frame)`, independent of
+    /// enqueue order.
+    fn job_input(&self, job: &InferenceJob, out: &mut [f32]) {
         let seed = self.input_seeds[job.session]
             ^ (job.chunk as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (job.frame as u64).rotate_left(32);
         let mut rng = DetRng::new(seed);
-        let len = self.model.in_channels * self.model.height * self.model.width;
-        Tensor::from_vec(
-            1,
-            self.model.in_channels,
-            self.model.height,
-            self.model.width,
-            (0..len).map(|_| rng.random_range(-1.0f32..1.0)).collect(),
-        )
+        for v in out {
+            *v = rng.random_range(-1.0f32..1.0);
+        }
     }
 }
 

@@ -3,8 +3,11 @@
 //! Measures MACs/sec for the direct and im2col+GEMM conv kernels over
 //! the shapes the pipeline actually runs (SR head, enhancement head,
 //! batcher backbone at occupancy 32), at 1/4/8 worker threads, plus the
-//! fused head against the staged ops. Every GEMM measurement is gated
-//! on bit-identity with the direct kernel before it counts.
+//! fused head against the staged ops at one worker and the fleet
+//! batcher's small backbone (`serve_backbone`) through `conv2d`. Every
+//! GEMM measurement is gated on bit-identity with the direct kernel
+//! before it counts. Each rate is the median of [`REPEATS`] samples of
+//! ~0.25 s.
 //!
 //! Writes `BENCH_tensor.json`. With `--digest-out PATH` it instead
 //! writes one FNV-1a digest per kernel output — wall-clock free, so CI
@@ -16,7 +19,7 @@
 
 use nerve_tensor::conv::{conv2d, conv2d_direct, ConvSpec};
 use nerve_tensor::fused::{head_forward, PlaneSource};
-use nerve_tensor::gemm::conv2d_gemm;
+use nerve_tensor::gemm::{self, conv2d_gemm};
 use nerve_tensor::net::Conv2d;
 use nerve_tensor::{par, Tensor};
 use std::fmt::Write as _;
@@ -36,6 +39,26 @@ fn shapes() -> Vec<(&'static str, usize, ConvSpec, usize, usize)> {
         ("batch32", 32, ConvSpec::same(8, 16, 3), 32, 64),
     ]
 }
+
+/// The fleet batcher's backbone, `serve::batcher::ServerModel::small()`:
+/// 2 → 4 channels, 3×3, on 8×16 planes (K = 18, below the GEMM
+/// threshold).
+const BACKBONE: (ConvSpec, usize, usize) = (
+    ConvSpec {
+        in_channels: 2,
+        out_channels: 4,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    },
+    8,
+    16,
+);
+
+/// The backbone's batch sizes: one job, and the `lossy-storm` fleet's
+/// traced `serve.occupancy_mean` (perfbench, seed 1: 1642.2 jobs per
+/// stacked call).
+const BACKBONE_BATCHES: [usize; 2] = [1, 1642];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -151,7 +174,40 @@ fn main() {
         );
     }
 
-    // Fused head vs staged ops at the SR-head shape.
+    // The batcher's backbone through `conv2d`, at whatever kernel it
+    // dispatches to.
+    let (spec, h, w) = BACKBONE;
+    let (oh, ow) = spec.out_size(h, w);
+    let kernel = if gemm::eligible(spec, oh, ow) {
+        "gemm"
+    } else {
+        "direct"
+    };
+    let weight = seeded_weight(0xFACE, spec);
+    let bias = seeded_bias(0xD00D, spec);
+    let mut backbone = format!(
+        "{{\"in_c\": {}, \"out_c\": {}, \"kernel\": {}, \"h\": {h}, \"w\": {w}, \"batches\": [",
+        spec.in_channels, spec.out_channels, spec.kernel
+    );
+    for (i, n) in BACKBONE_BATCHES.into_iter().enumerate() {
+        let input = seeded_input(0x5E4E ^ n as u32, n, spec.in_channels, h, w);
+        let (macs, _) = spec.forward_work(n, h, w);
+        let rate = time_macs_per_sec(macs, || {
+            let _ = conv2d(&input, &weight, &bias, spec);
+        });
+        eprintln!("[serve_backbone n={n}: {kernel} {:.3} GMAC/s]", rate / 1e9);
+        let _ = write!(
+            backbone,
+            "{}\n      {{\"n\": {n}, \"kernel\": \"{kernel}\", \"gmacs_per_s\": {:.3}}}",
+            if i > 0 { "," } else { "" },
+            rate / 1e9
+        );
+    }
+    backbone.push_str("\n  ]}");
+
+    // Fused head vs staged ops at the SR-head shape, both at one worker:
+    // `head_forward` is always serial, while the staged `conv2d` calls
+    // would split across the pool.
     let (h, w) = (96usize, 160usize);
     let conv1 = seeded_conv(11, ConvSpec::same(3, 8, 3));
     let conv2 = seeded_conv(13, ConvSpec::same(8, 16, 3));
@@ -159,32 +215,31 @@ fn main() {
     let planes: Vec<&[f32]> = planes_data.data().chunks(h * w).collect();
     let head_macs = ConvSpec::same(3, 8, 3).forward_work(1, h, w).0
         + ConvSpec::same(8, 16, 3).forward_work(1, h, w).0;
-    let fused_mps = time_macs_per_sec(head_macs, || {
-        let srcs: Vec<PlaneSource> = planes.iter().map(|p| PlaneSource::Slice(p)).collect();
-        let _ = head_forward(&srcs, h, w, &conv1, &conv2, 4);
+    let fused_mps = with_workers(1, || {
+        time_macs_per_sec(head_macs, || {
+            let srcs: Vec<PlaneSource> = planes.iter().map(|p| PlaneSource::Slice(p)).collect();
+            let _ = head_forward(&srcs, h, w, &conv1, &conv2, 4);
+        })
     });
-    let staged_mps = time_macs_per_sec(head_macs, || {
-        let h1 = nerve_tensor::ops::relu(&conv2d(
-            &planes_data,
-            &conv1.weight,
-            &conv1.bias,
-            conv1.spec,
-        ));
-        let c2 = conv2d(&h1, &conv2.weight, &conv2.bias, conv2.spec);
-        let _ = nerve_tensor::ops::pixel_shuffle(&c2, 4);
+    let staged_mps = with_workers(1, || {
+        time_macs_per_sec(head_macs, || {
+            let h1 = nerve_tensor::ops::relu(&conv2d(
+                &planes_data,
+                &conv1.weight,
+                &conv1.bias,
+                conv1.spec,
+            ));
+            let c2 = conv2d(&h1, &conv2.weight, &conv2.bias, conv2.spec);
+            let _ = nerve_tensor::ops::pixel_shuffle(&c2, 4);
+        })
     });
     eprintln!(
-        "[fused head: {fused_mps:.2e} MACs/s vs staged {staged_mps:.2e} ({:.2}x)]",
+        "[fused head, 1 worker: {fused_mps:.2e} MACs/s vs staged {staged_mps:.2e} ({:.2}x)]",
         fused_mps / staged_mps
     );
 
-    assert!(
-        sr_head_speedup >= 2.0,
-        "GEMM must be >= 2x direct on the SR-head shape, measured {sr_head_speedup:.2}x"
-    );
-
     let json = format!(
-        "{{\n  \"bin\": \"nerve-tensor-bench\",\n  \"workers\": {},\n  \"shapes\": [{shape_entries}\n  ],\n  \"sr_head_gemm_speedup\": {sr_head_speedup:.2},\n  \"fused_head\": {{\"fused_macs_per_sec\": {fused_mps:.3e}, \"staged_macs_per_sec\": {staged_mps:.3e}, \"speedup\": {:.2}}}\n}}\n",
+        "{{\n  \"bin\": \"nerve-tensor-bench\",\n  \"workers\": {},\n  \"shapes\": [{shape_entries}\n  ],\n  \"sr_head_gemm_speedup\": {sr_head_speedup:.2},\n  \"fused_head\": {{\"workers\": 1, \"fused_macs_per_sec\": {fused_mps:.3e}, \"staged_macs_per_sec\": {staged_mps:.3e}, \"speedup\": {:.2}}},\n  \"serve_backbone\": {backbone}\n}}\n",
         par::workers(),
         fused_mps / staged_mps,
     );
@@ -193,6 +248,12 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("[wrote {out_path}]");
+    // Checked after the write, so a failing gate still leaves its
+    // measurements on disk.
+    assert!(
+        sr_head_speedup >= 2.0,
+        "GEMM must be >= 2x direct on the SR-head shape, measured {sr_head_speedup:.2}x"
+    );
 }
 
 /// Deterministic kernel-output digests: byte-identical across `--jobs`
@@ -244,19 +305,29 @@ fn write_digests(path: &str) {
     eprintln!("[wrote {path}]");
 }
 
-/// Time `f` repeatedly and convert to MACs/sec. Calibrates the
-/// iteration count to ~0.25 s of wall time.
+/// Samples per rate; the bench reports their median.
+const REPEATS: usize = 5;
+
+/// Time `f` repeatedly and convert to MACs/sec: the median of
+/// [`REPEATS`] samples, each calibrated to ~0.25 s of wall time. One
+/// sample swings by tens of percent between runs on a loaded host.
 fn time_macs_per_sec(macs_per_call: u64, mut f: impl FnMut()) -> f64 {
     let t0 = Instant::now();
     f();
     let once = t0.elapsed().as_secs_f64().max(1e-6);
     let iters = ((0.25 / once) as usize).clamp(3, 2_000);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let per_call = t0.elapsed().as_secs_f64() / iters as f64;
-    macs_per_call as f64 / per_call.max(1e-9)
+    let mut rates: Vec<f64> = (0..REPEATS)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            let per_call = t0.elapsed().as_secs_f64() / iters as f64;
+            macs_per_call as f64 / per_call.max(1e-9)
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    rates[REPEATS / 2]
 }
 
 fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {

@@ -3,9 +3,12 @@
 //! This is the workhorse of both the recovery and SR heads. Two forward
 //! kernels share one contract:
 //!
-//! * a **direct** loop with a slice-based interior fast path (pad-free
-//!   region reads row slices, no per-pixel bounds branches) — kept for
-//!   tiny-channel shapes where im2col overhead dominates;
+//! * a **direct** kernel that streams by tap: each output plane starts
+//!   as the bias, and each tap adds `x * w` along every output row over
+//!   the contiguous run whose input lies inside the plane, so padded
+//!   taps are skipped rather than added as zeros — kept for
+//!   tiny-channel shapes (the fleet batcher's backbone) where im2col
+//!   overhead dominates;
 //! * an **im2col + cache-blocked GEMM** path ([`crate::gemm`]) for the
 //!   head-sized shapes that dominate the MACs budget.
 //!
@@ -21,6 +24,7 @@
 
 use crate::gemm;
 use crate::Tensor;
+use std::ops::Range;
 
 /// Immutable description of a convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,12 +317,17 @@ pub(crate) fn conv_image(
 /// `h x w` input channel planes, into `out`. Shared by the serial and
 /// parallel forward paths and by [`conv_image`].
 ///
-/// The interior region — output positions whose kernel window lies fully
-/// inside the unpadded input — is hoisted into a slice-based fast path:
-/// row slices of input and weight are walked with zipped iterators, no
-/// per-element bounds branch. Border positions keep the branchy loop.
-/// Both paths accumulate taps in the same ascending `(ic, ky, kx)`
-/// order, so the split is bit-invisible.
+/// Streamed by tap: the plane is filled with the bias, then every tap,
+/// in ascending `(ic, ky, kx)` order, adds `x * w` along each output row
+/// over the contiguous run of outputs whose input lies inside the plane
+/// ([`in_frame`]). Rows and columns whose input falls in the padding
+/// are skipped, so border and interior outputs take the same loop. Each
+/// output still receives the bias and then its in-range taps in
+/// `(ic, ky, kx)` order, each as a separate multiply and add (the order
+/// the GEMM path keeps too), and with no per-pixel accumulation chain
+/// the inner loop runs across pixels and vectorizes. Tap-major order
+/// beats row-major on the batcher's 8×16 planes, where a row is only
+/// four vectors long.
 #[allow(clippy::too_many_arguments)]
 fn conv_plane(
     planes: &[&[f32]],
@@ -332,81 +341,66 @@ fn conv_plane(
 ) {
     let (oh, ow) = spec.out_size(h, w);
     let (k, stride, pad) = (spec.kernel, spec.stride, spec.pad);
-    let wdata = weight.data();
-    let wbase = |ic: usize| (oc * spec.in_channels + ic) * k * k;
-    let bias_v = bias[oc];
-
-    // Border fallback: per-tap bounds checks, skipping padded positions.
-    let edge = |oy: usize, ox: usize| -> f32 {
-        let mut acc = bias_v;
-        let iy0 = (oy * stride) as isize - pad as isize;
-        let ix0 = (ox * stride) as isize - pad as isize;
-        for (ic, p) in planes.iter().enumerate() {
-            let wb = wbase(ic);
-            for ky in 0..k as isize {
-                let iy = iy0 + ky;
-                if iy < 0 || iy >= h as isize {
+    let taps = k * k;
+    let wdata = &weight.data()[oc * spec.in_channels * taps..(oc + 1) * spec.in_channels * taps];
+    out.fill(bias[oc]);
+    for (plane, w_ic) in planes.iter().zip(wdata.chunks_exact(taps)) {
+        for (ky, w_ky) in w_ic.chunks_exact(k).enumerate() {
+            let rows = in_frame(ky, pad, stride, h, oh);
+            for (kx, &wv) in w_ky.iter().enumerate() {
+                let run = in_frame(kx, pad, stride, w, ow);
+                if run.is_empty() {
                     continue;
                 }
-                for kx in 0..k as isize {
-                    let ix = ix0 + kx;
-                    if ix < 0 || ix >= w as isize {
-                        continue;
-                    }
-                    acc += p[iy as usize * w + ix as usize]
-                        * wdata[wb + (ky * k as isize + kx) as usize];
-                }
-            }
-        }
-        acc
-    };
-
-    // Interior output range per axis: first/last output position whose
-    // window needs no clipping (`o*stride >= pad` and
-    // `o*stride - pad + k <= len`).
-    let interior = |len: usize, olen: usize| -> (usize, usize) {
-        let lo = pad.div_ceil(stride).min(olen);
-        let hi = if len + pad >= k {
-            ((len + pad - k) / stride + 1).min(olen)
-        } else {
-            0
-        };
-        (lo, hi.max(lo))
-    };
-    let (y_lo, y_hi) = interior(h, oh);
-    let (x_lo, x_hi) = interior(w, ow);
-
-    for oy in 0..oh {
-        let row_out = &mut out[oy * ow..(oy + 1) * ow];
-        if oy < y_lo || oy >= y_hi {
-            for (ox, v) in row_out.iter_mut().enumerate() {
-                *v = edge(oy, ox);
-            }
-            continue;
-        }
-        let iy0 = oy * stride - pad;
-        for (ox, v) in row_out.iter_mut().enumerate().take(x_lo) {
-            *v = edge(oy, ox);
-        }
-        for (ox, v) in row_out.iter_mut().enumerate().take(x_hi).skip(x_lo) {
-            let ibase = iy0 * w + ox * stride - pad;
-            let mut acc = bias_v;
-            for (ic, p) in planes.iter().enumerate() {
-                let wb = wbase(ic);
-                for ky in 0..k {
-                    let irow = &p[ibase + ky * w..ibase + ky * w + k];
-                    let wrow = &wdata[wb + ky * k..wb + (ky + 1) * k];
-                    for (x, wv) in irow.iter().zip(wrow) {
-                        acc += x * wv;
+                let ix = run.start * stride + kx - pad;
+                for oy in rows.clone() {
+                    let src = &plane[(oy * stride + ky - pad) * w + ix..];
+                    let dst = &mut out[oy * ow + run.start..oy * ow + run.end];
+                    if stride == 1 {
+                        add_scaled(dst, src, wv);
+                    } else {
+                        for (o, x) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *o += x * wv;
+                        }
                     }
                 }
             }
-            *v = acc;
-        }
-        for (ox, v) in row_out.iter_mut().enumerate().skip(x_hi) {
-            *v = edge(oy, ox);
         }
     }
+}
+
+/// `dst[i] += src[i] * wv` for every `i < dst.len()`, four lanes at a
+/// time. On the 15- and 16-output runs of an 8×16 plane, fixed 4-lane
+/// blocks measured faster than one plain zipped loop.
+fn add_scaled(dst: &mut [f32], src: &[f32], wv: f32) {
+    let src = &src[..dst.len()];
+    let mut dst4 = dst.chunks_exact_mut(4);
+    let mut src4 = src.chunks_exact(4);
+    for (o, x) in (&mut dst4).zip(&mut src4) {
+        for (o, x) in o.iter_mut().zip(x) {
+            *o += x * wv;
+        }
+    }
+    for (o, x) in dst4.into_remainder().iter_mut().zip(src4.remainder()) {
+        *o += x * wv;
+    }
+}
+
+/// The output positions `o < olen` along one axis whose tap `t` reads
+/// inside the input, i.e. `0 <= o * stride + t - pad < len`.
+fn in_frame(t: usize, pad: usize, stride: usize, len: usize, olen: usize) -> Range<usize> {
+    // `len + pad - t` positions from the top of the padded axis reach
+    // the input; stride 1 skips the divisions.
+    let reach = (len + pad).saturating_sub(t);
+    let (lo, hi) = if stride == 1 {
+        (pad.saturating_sub(t), reach)
+    } else {
+        (
+            pad.saturating_sub(t).div_ceil(stride),
+            reach.div_ceil(stride),
+        )
+    };
+    lo.min(olen)..hi.min(olen).max(lo.min(olen))
 }
 
 /// Gradients produced by [`conv2d_backward`].

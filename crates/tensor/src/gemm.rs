@@ -51,8 +51,10 @@ const MIN_K: usize = 24;
 /// Minimum output positions per plane worth packing a panel for.
 const MIN_PLANE: usize = 64;
 
-/// Dispatch rule used by [`crate::conv::conv2d`].
-pub(crate) fn eligible(spec: ConvSpec, oh: usize, ow: usize) -> bool {
+/// Dispatch rule used by [`crate::conv::conv2d`]: `true` when a conv
+/// with this spec and `oh x ow` output planes runs the GEMM kernel,
+/// `false` when it runs the direct one.
+pub fn eligible(spec: ConvSpec, oh: usize, ow: usize) -> bool {
     spec.in_channels * spec.kernel * spec.kernel >= MIN_K && oh * ow >= MIN_PLANE
 }
 

@@ -1,0 +1,288 @@
+//! The row-streamed direct kernel against a copy of the per-pixel
+//! kernel it replaced, bit for bit.
+//!
+//! `oracle_plane` is the former `conv::conv_plane`: a per-pixel interior
+//! loop over row slices plus a per-tap bounds-checked `edge` closure for
+//! the border. Both it and the kernel under test add, to each output,
+//! the bias and then its in-range taps in ascending `(ic, ky, kx)` order
+//! with no FMA, so their outputs must agree in every bit. The grid walks
+//! kernels 1/3/5, strides 1/2, pads `0`, `k/2` and `k - 1`, 1–4 input
+//! and output channels, batches of 1–5 and planes from 1×1 to 17×33
+//! (including planes narrower or shorter than the kernel). Half of the
+//! cases put ±inf and NaN on the input's border rows and columns: a
+//! kernel that multiplies a padded tap by zero instead of skipping it
+//! turns a finite output into NaN there. NaN compares as NaN; every
+//! other value compares by its bits, so `-0.0` differs from `+0.0`.
+
+use nerve_rng::{check_cases, DetRng, Rng};
+use nerve_tensor::conv::{conv2d, conv2d_direct, ConvSpec};
+use nerve_tensor::{par, Tensor};
+use std::sync::Mutex;
+
+/// The worker count is process-global; tests that set it take this.
+static WORKERS: Mutex<()> = Mutex::new(());
+
+/// The per-pixel direct kernel that `conv_plane` replaced, kept verbatim
+/// (apart from taking the weight as a slice) as the oracle.
+#[allow(clippy::too_many_arguments)]
+fn oracle_plane(
+    planes: &[&[f32]],
+    h: usize,
+    w: usize,
+    wdata: &[f32],
+    bias: &[f32],
+    spec: ConvSpec,
+    oc: usize,
+    out: &mut [f32],
+) {
+    let (oh, ow) = spec.out_size(h, w);
+    let (k, stride, pad) = (spec.kernel, spec.stride, spec.pad);
+    let wbase = |ic: usize| (oc * spec.in_channels + ic) * k * k;
+    let bias_v = bias[oc];
+
+    let edge = |oy: usize, ox: usize| -> f32 {
+        let mut acc = bias_v;
+        let iy0 = (oy * stride) as isize - pad as isize;
+        let ix0 = (ox * stride) as isize - pad as isize;
+        for (ic, p) in planes.iter().enumerate() {
+            let wb = wbase(ic);
+            for ky in 0..k as isize {
+                let iy = iy0 + ky;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                for kx in 0..k as isize {
+                    let ix = ix0 + kx;
+                    if ix < 0 || ix >= w as isize {
+                        continue;
+                    }
+                    acc += p[iy as usize * w + ix as usize]
+                        * wdata[wb + (ky * k as isize + kx) as usize];
+                }
+            }
+        }
+        acc
+    };
+
+    let interior = |len: usize, olen: usize| -> (usize, usize) {
+        let lo = pad.div_ceil(stride).min(olen);
+        let hi = if len + pad >= k {
+            ((len + pad - k) / stride + 1).min(olen)
+        } else {
+            0
+        };
+        (lo, hi.max(lo))
+    };
+    let (y_lo, y_hi) = interior(h, oh);
+    let (x_lo, x_hi) = interior(w, ow);
+
+    for oy in 0..oh {
+        let row_out = &mut out[oy * ow..(oy + 1) * ow];
+        if oy < y_lo || oy >= y_hi {
+            for (ox, v) in row_out.iter_mut().enumerate() {
+                *v = edge(oy, ox);
+            }
+            continue;
+        }
+        let iy0 = oy * stride - pad;
+        for (ox, v) in row_out.iter_mut().enumerate().take(x_lo) {
+            *v = edge(oy, ox);
+        }
+        for (ox, v) in row_out.iter_mut().enumerate().take(x_hi).skip(x_lo) {
+            let ibase = iy0 * w + ox * stride - pad;
+            let mut acc = bias_v;
+            for (ic, p) in planes.iter().enumerate() {
+                let wb = wbase(ic);
+                for ky in 0..k {
+                    let irow = &p[ibase + ky * w..ibase + ky * w + k];
+                    let wrow = &wdata[wb + ky * k..wb + (ky + 1) * k];
+                    for (x, wv) in irow.iter().zip(wrow) {
+                        acc += x * wv;
+                    }
+                }
+            }
+            *v = acc;
+        }
+        for (ox, v) in row_out.iter_mut().enumerate().skip(x_hi) {
+            *v = edge(oy, ox);
+        }
+    }
+}
+
+/// The oracle over a whole batch: every image's every output channel.
+fn oracle(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec) -> Vec<f32> {
+    let (h, w) = (input.h(), input.w());
+    let (oh, ow) = spec.out_size(h, w);
+    let mut out = vec![0.0f32; input.n() * spec.out_channels * oh * ow];
+    let image_len = input.c() * h * w;
+    for (n, img) in out.chunks_mut(spec.out_channels * oh * ow).enumerate() {
+        let data = &input.data()[n * image_len..(n + 1) * image_len];
+        let planes: Vec<&[f32]> = data.chunks(h * w).collect();
+        for (oc, plane) in img.chunks_mut(oh * ow).enumerate() {
+            oracle_plane(&planes, h, w, weight.data(), bias, spec, oc, plane);
+        }
+    }
+    out
+}
+
+/// Bit equality, except that any NaN matches any NaN.
+fn same(a: f32, b: f32) -> bool {
+    (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits()
+}
+
+fn assert_same(label: &str, got: &[f32], want: &[f32]) {
+    assert_eq!(got.len(), want.len(), "{label}: length");
+    if let Some(i) = (0..got.len()).find(|&i| !same(got[i], want[i])) {
+        panic!(
+            "{label}: element {i} is {} ({:#010x}), oracle {} ({:#010x})",
+            got[i],
+            got[i].to_bits(),
+            want[i],
+            want[i].to_bits()
+        );
+    }
+}
+
+/// `conv2d_direct` and `conv2d`, each at 1 and 4 workers, against the
+/// oracle.
+fn check_against_oracle(
+    label: &str,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &[f32],
+    spec: ConvSpec,
+) {
+    let want = oracle(input, weight, bias, spec);
+    let _lock = WORKERS.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = par::workers();
+    for workers in [1, 4] {
+        par::set_workers(workers);
+        let direct = conv2d_direct(input, weight, bias, spec);
+        let dispatched = conv2d(input, weight, bias, spec);
+        assert_same(&format!("{label} direct@{workers}"), direct.data(), &want);
+        assert_same(
+            &format!("{label} conv2d@{workers}"),
+            dispatched.data(),
+            &want,
+        );
+    }
+    par::set_workers(prev);
+}
+
+fn uniform(rng: &mut DetRng, len: usize) -> Vec<f32> {
+    (0..len).map(|_| rng.random_range(-1.0f32..1.0)).collect()
+}
+
+/// Overwrite about a third of each plane's border with ±inf and NaN.
+fn poison_border(rng: &mut DetRng, data: &mut [f32], h: usize, w: usize) {
+    const SPECIALS: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for plane in data.chunks_mut(h * w) {
+        for y in 0..h {
+            for x in 0..w {
+                let border = y == 0 || x == 0 || y + 1 == h || x + 1 == w;
+                if border && rng.random_range(0..3u32) == 0 {
+                    plane[y * w + x] = SPECIALS[rng.random_range(0..3usize)];
+                }
+            }
+        }
+    }
+}
+
+/// The plane shapes of the grid for kernel `k`: 1×1, 2×2, one plane
+/// shorter and one narrower than the kernel, 8×16 (the batcher's
+/// backbone) and 17×33 (odd sizes, multi-vector rows).
+fn planes_for(k: usize) -> [(usize, usize); 6] {
+    let short = k.saturating_sub(1).max(1);
+    [
+        (1, 1),
+        (2, 2),
+        (short, 2 * k + 3),
+        (2 * k + 3, short),
+        (8, 16),
+        (17, 33),
+    ]
+}
+
+#[test]
+fn direct_kernel_matches_the_per_pixel_oracle_over_the_grid() {
+    let mut cases = 0;
+    for k in [1usize, 3, 5] {
+        for stride in [1usize, 2] {
+            let mut pads = vec![0, k / 2, k - 1];
+            pads.dedup();
+            for pad in pads {
+                for (h, w) in planes_for(k) {
+                    let name = format!("k{k} s{stride} p{pad} {h}x{w}");
+                    check_cases(&name, 2, |rng| {
+                        let spec = ConvSpec {
+                            in_channels: rng.random_range(1..5usize),
+                            out_channels: rng.random_range(1..5usize),
+                            kernel: k,
+                            stride,
+                            pad,
+                        };
+                        if spec.checked_out_size(h, w).is_none() {
+                            return;
+                        }
+                        let n = rng.random_range(1..6usize);
+                        let mut data = uniform(rng, n * spec.in_channels * h * w);
+                        if rng.random_range(0..2u32) == 0 {
+                            poison_border(rng, &mut data, h, w);
+                        }
+                        let input = Tensor::from_vec(n, spec.in_channels, h, w, data);
+                        let weight = Tensor::from_vec(
+                            spec.out_channels,
+                            spec.in_channels,
+                            k,
+                            k,
+                            uniform(rng, spec.out_channels * spec.in_channels * k * k),
+                        );
+                        let mut bias = uniform(rng, spec.out_channels);
+                        if rng.random_range(0..4u32) == 0 {
+                            bias[0] = -0.0;
+                        }
+                        check_against_oracle(&name, &input, &weight, &bias, spec);
+                    });
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases >= 80, "the grid shrank to {cases} cells");
+}
+
+/// With `pad >= k` the outer outputs read no input at all: the kernel
+/// must leave the bias there untouched, `-0.0` included. (Kept to
+/// shapes with `in_channels * k * k` below the GEMM threshold, so
+/// `conv2d` runs the direct kernel too; the GEMM panel adds the padding
+/// as explicit `+0.0` products, see `gemm`'s bit-identity contract.)
+#[test]
+fn outputs_with_every_tap_clipped_keep_a_negative_zero_bias() {
+    check_cases("every_tap_clipped", 16, |rng| {
+        let k = [1usize, 3][rng.random_range(0..2usize)];
+        let spec = ConvSpec {
+            in_channels: rng.random_range(1..3usize),
+            out_channels: rng.random_range(1..5usize),
+            kernel: k,
+            stride: rng.random_range(1..3usize),
+            pad: k + rng.random_range(0..2usize),
+        };
+        let (h, w) = (rng.random_range(1..10usize), rng.random_range(1..20usize));
+        let n = rng.random_range(1..4usize);
+        let mut data = uniform(rng, n * spec.in_channels * h * w);
+        poison_border(rng, &mut data, h, w);
+        let input = Tensor::from_vec(n, spec.in_channels, h, w, data);
+        let weight = Tensor::from_vec(
+            spec.out_channels,
+            spec.in_channels,
+            k,
+            k,
+            uniform(rng, spec.out_channels * spec.in_channels * k * k),
+        );
+        let bias = vec![-0.0f32; spec.out_channels];
+        check_against_oracle("every tap clipped", &input, &weight, &bias, spec);
+        // The top-left output's window lies wholly in the padding.
+        let out = conv2d_direct(&input, &weight, &bias, spec);
+        assert_eq!(out.data()[0].to_bits(), (-0.0f32).to_bits());
+    });
+}
