@@ -1,20 +1,24 @@
-//! The fleet checkpoint codec (`NRVF`): kill-and-resume for serial
-//! fleet runs.
+//! The fleet checkpoint codec (`NRVF`): kill-and-resume for fleet runs
+//! at any worker count.
 //!
 //! [`crate::fleet::checkpoint_fleet`] quiesces the whole fleet at a
 //! virtual instant and serializes every server's mutable state (the
 //! resident sessions ride the NRVT ticket codec, the calendar queue
 //! travels as its sorted event list) plus the failover orchestrator's
 //! own state — ownership, liveness, in-transit evacuations, health
-//! machines, and the transfer log. The frame is length-checked and
+//! machines, and the transfer log. Checkpoint and resume run on the
+//! fleet's one driver, so they shard like any other run: each shard
+//! snapshots or restores its own servers, and the frame is the same
+//! bytes at every worker count. The frame is length-checked and
 //! CRC-sealed ([`nerve_net::integrity`]) exactly like a session
 //! ticket, so a truncated or bit-flipped checkpoint is refused rather
 //! than resumed.
 //!
-//! The contract, asserted by `tests/scale_stability.rs`: resuming a
-//! checkpoint taken anywhere in the run — including mid-evacuation,
-//! with tickets in transit — produces a [`crate::fleet::FleetResult`]
-//! whose digest is byte-identical to the uninterrupted run.
+//! The contract, asserted by `tests/scale_stability.rs` and pinned by
+//! `tests/fleet_digests.rs`: resuming a checkpoint taken anywhere in the
+//! run — including mid-evacuation, with tickets in transit — produces a
+//! [`crate::fleet::FleetResult`] whose digest is byte-identical to the
+//! uninterrupted run.
 
 use crate::batcher::{InferenceJob, JobKind, OCCUPANCY_BUCKETS};
 use crate::event_queue::{Event, EventKind};
