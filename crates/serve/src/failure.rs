@@ -457,9 +457,12 @@ pub struct ServerFailureCounters {
     pub jobs_failed: usize,
 }
 
-/// The invariant checker's verdict, accumulated over the run: cheap
-/// checks run per event in every build (and a full conservation census
-/// asserts per instant in debug builds); `violations` must be zero.
+/// The invariant checker's verdict, accumulated over the run. It counts
+/// only checks that every build runs (per-event settle and evacuation
+/// checks, and the fleet's conservation and job-accounting checks at
+/// assembly), so it is the same in debug and release and may enter
+/// digests. Debug builds also assert a conservation census at every
+/// instant, which is not counted. `violations` must be zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InvariantReport {
     /// Individual invariant checks evaluated.
