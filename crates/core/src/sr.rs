@@ -22,7 +22,7 @@ use nerve_tensor::conv::ConvSpec;
 use nerve_tensor::fused::{head_forward, PlaneSource};
 use nerve_tensor::net::{Conv2d, Layer, PixelShuffle, Relu, Sequential};
 use nerve_tensor::{CostReport, Tensor};
-use nerve_video::frame::Frame;
+use nerve_video::frame::{resize_add_clamp01, resize_plane, sample_taps, Frame, Resize, Taps};
 use nerve_video::resolution::Resolution;
 use std::collections::HashMap;
 
@@ -66,6 +66,28 @@ impl SrConfig {
     pub fn shuffle_factor(&self, rung: Resolution) -> usize {
         (rung.sr_scale_to_1080().floor() as usize).clamp(1, 4)
     }
+}
+
+/// The head's base channel `lr.resize(ow, oh).resize(lw, lh)`, bit for
+/// bit, with the upsample computed only at the pixels the downsample
+/// reads ([`Resize::reads`]), as `warp_resized` does for the warp.
+fn base_lr(lr: &Frame, ow: usize, oh: usize) -> Frame {
+    let (lw, lh) = (lr.width(), lr.height());
+    let up = Resize::new(lw, lh, ow, oh);
+    if up.copies() {
+        return lr.clone();
+    }
+    let (cols, rows) = Resize::new(ow, oh, lw, lh).reads();
+    let col_taps: Vec<Taps> = cols.iter().map(|&x| up.taps_x(x)).collect();
+    // Pixels the downsample never reads stay zero.
+    let mut base = vec![0.0f32; ow * oh];
+    for &y in &rows {
+        let row_taps = up.taps_y(y);
+        for (&x, &col_taps) in cols.iter().zip(&col_taps) {
+            base[y * ow + x] = sample_taps(lr.data(), lw, col_taps, row_taps);
+        }
+    }
+    Frame::from_data(lw, lh, resize_plane(&base, ow, oh, lw, lh))
 }
 
 /// Channels fed to each head: bilinear base (at LR), warped previous HR
@@ -190,8 +212,7 @@ impl SuperResolver {
             return out;
         }
 
-        let base = lr.resize(ow, oh);
-        let base_lr = base.resize(lw, lh);
+        let base_lr = base_lr(lr, ow, oh);
 
         // Shared flow trunk: align previous LR to current, reuse the
         // motion to warp the previous HR output forward. The head reads
@@ -232,17 +253,14 @@ impl SuperResolver {
                 shuffle,
             )
         }); // [1,1,lh*r,lw*r]
-        let r = residual.shape();
-        let residual_frame = Frame::from_data(r[3], r[2], residual.data().to_vec()).resize(ow, oh);
 
+        // The bilinear base plus the residual, both resized to the output
+        // and clamped, in one pass that builds neither full-size plane.
+        let r = residual.shape();
         let out = Frame::from_data(
             ow,
             oh,
-            base.data()
-                .iter()
-                .zip(residual_frame.data().iter())
-                .map(|(&b, &res)| (b + res).clamp(0.0, 1.0))
-                .collect(),
+            resize_add_clamp01(lr.data(), (lw, lh), residual.data(), (r[3], r[2]), (ow, oh)),
         );
         self.remember(rung, lr.clone(), out.clone());
         out
@@ -312,6 +330,27 @@ mod tests {
             .resize(sr.config().out_width, sr.config().out_height)
             .clamp01();
         assert!(out.mad(&base) < 1e-6);
+    }
+
+    #[test]
+    fn base_lr_is_bitwise_the_two_resizes() {
+        // Every rung's geometry at scale 8. 1080p's LR size is the
+        // output's, so there the upsample copies (as every rung's does at
+        // scales where all clamp to 16×16). The LR frame carries ±inf,
+        // NaN and −0.0, which only exact reads keep.
+        let edgy = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+        let (ow, oh) = Resolution::R1080.dims_scaled(8);
+        for rung in Resolution::LADDER {
+            let (lw, lh) = rung.dims_scaled(8);
+            let lr = Frame::from_fn(lw, lh, |x, y| match (x * 7 + y * 13) % 97 {
+                i @ 0..=3 => edgy[i],
+                i => i as f32 / 96.0,
+            });
+            let want = lr.resize(ow, oh).resize(lw, lh);
+            let got = base_lr(&lr, ow, oh);
+            let bits = |f: &Frame| f.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&got) == bits(&want), "{rung:?}");
+        }
     }
 
     #[test]

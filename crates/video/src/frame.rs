@@ -95,7 +95,13 @@ pub struct Resize {
 }
 
 impl Resize {
+    /// Panics when the plane is empty and the new size is not: such a
+    /// resize has no pixel to sample.
     pub fn new(width: usize, height: usize, new_width: usize, new_height: usize) -> Self {
+        assert!(
+            (width > 0 && height > 0) || new_width == 0 || new_height == 0,
+            "cannot resize an empty plane to {new_width}×{new_height}"
+        );
         Self {
             width,
             height,
@@ -177,6 +183,46 @@ pub fn resize_plane(
         let fy = resize.source_y(y);
         for x in 0..new_width {
             out.push(sample_plane(data, width, height, resize.source_x(x), fy));
+        }
+    }
+    out
+}
+
+/// `resize_plane(a, …)` and `resize_plane(b, …)` to `width × height`,
+/// added and clamped to `[0, 1]` sample by sample, bit for bit, in one
+/// pass with neither resized plane built: each output column's taps are
+/// taken once per resize, and a plane already `width × height` is read
+/// directly. `a` and `b` are row-major planes of `a_size` and `b_size`
+/// (width, height).
+pub fn resize_add_clamp01(
+    a: &[f32],
+    a_size: (usize, usize),
+    b: &[f32],
+    b_size: (usize, usize),
+    (width, height): (usize, usize),
+) -> Vec<f32> {
+    let (ra, rb) = (
+        Resize::new(a_size.0, a_size.1, width, height),
+        Resize::new(b_size.0, b_size.1, width, height),
+    );
+    let (a_copies, b_copies) = (ra.copies(), rb.copies());
+    let a_cols: Vec<Taps> = (0..width).map(|x| ra.taps_x(x)).collect();
+    let b_cols: Vec<Taps> = (0..width).map(|x| rb.taps_x(x)).collect();
+    let mut out = Vec::with_capacity(width * height);
+    for y in 0..height {
+        let (a_row, b_row) = (ra.taps_y(y), rb.taps_y(y));
+        for x in 0..width {
+            let va = if a_copies {
+                a[y * width + x]
+            } else {
+                sample_taps(a, a_size.0, a_cols[x], a_row)
+            };
+            let vb = if b_copies {
+                b[y * width + x]
+            } else {
+                sample_taps(b, b_size.0, b_cols[x], b_row)
+            };
+            out.push((va + vb).clamp(0.0, 1.0));
         }
     }
     out
@@ -402,6 +448,18 @@ mod tests {
         let up = f.resize(16, 12);
         let down = up.resize(8, 6);
         assert!(down.data().iter().all(|&v| (v - 0.3).abs() < 1e-5));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot resize an empty plane to 4×4")]
+    fn resizing_an_empty_plane_panics_by_name() {
+        let _ = Frame::new(0, 3).resize(4, 4);
+    }
+
+    #[test]
+    fn empty_resizes_to_empty() {
+        assert!(resize_plane(&[], 0, 0, 0, 5).is_empty());
+        assert!(Frame::new(3, 2).resize(0, 0).data().is_empty());
     }
 
     #[test]

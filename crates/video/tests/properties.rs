@@ -2,7 +2,7 @@
 //! [`nerve_rng::check_cases`]).
 
 use nerve_rng::{check_cases, DetRng, Rng};
-use nerve_video::frame::{resize_plane, sample_plane, Frame};
+use nerve_video::frame::{resize_add_clamp01, resize_plane, sample_plane, Frame};
 use nerve_video::metrics::{psnr, ssim, PSNR_CAP_DB};
 use nerve_video::resolution::Resolution;
 use nerve_video::synth::{Category, SceneConfig, SyntheticVideo};
@@ -71,6 +71,82 @@ fn resize_plane_is_bitwise_the_per_sample_sampler() {
             }
         },
     );
+}
+
+/// A sample in `[-0.5, 1.5]` or, one time in sixteen, one of ±inf, NaN
+/// and −0.0.
+fn edgy_sample(rng: &mut DetRng) -> f32 {
+    match rng.random_range(0..64u32) {
+        0 => f32::INFINITY,
+        1 => f32::NEG_INFINITY,
+        2 => f32::NAN,
+        3 => -0.0,
+        _ => rng.random_range(-0.5f32..=1.5),
+    }
+}
+
+#[test]
+fn resize_add_clamp01_is_bitwise_two_resizes_added_and_clamped() {
+    // Output axes of 1..12 pixels; each input axis is as long as the
+    // output's one time in three (the resize copies when both are),
+    // else 1..12, so up, down and equal axes and 1×N and N×1 planes all
+    // occur. The counts below check that they do.
+    let (mut up, mut down, mut equal, mut copies, mut thin) = (0, 0, 0, 0, 0);
+    check_cases(
+        "resize_add_clamp01_is_bitwise_two_resizes_added_and_clamped",
+        256,
+        |rng| {
+            let (w, h) = (rng.random_range(1..12usize), rng.random_range(1..12usize));
+            let mut axis = |rng: &mut DetRng, out: usize| {
+                let len = if rng.random_range(0..3u32) == 0 {
+                    out
+                } else {
+                    rng.random_range(1..12usize)
+                };
+                match len.cmp(&out) {
+                    std::cmp::Ordering::Less => up += 1,
+                    std::cmp::Ordering::Greater => down += 1,
+                    std::cmp::Ordering::Equal => equal += 1,
+                }
+                len
+            };
+            let a_size = (axis(rng, w), axis(rng, h));
+            let b_size = (axis(rng, w), axis(rng, h));
+            for size in [a_size, b_size] {
+                copies += usize::from(size == (w, h));
+                thin += usize::from(size.0 == 1 || size.1 == 1);
+            }
+            let a: Vec<f32> = (0..a_size.0 * a_size.1).map(|_| edgy_sample(rng)).collect();
+            let b: Vec<f32> = (0..b_size.0 * b_size.1).map(|_| edgy_sample(rng)).collect();
+
+            let got = resize_add_clamp01(&a, a_size, &b, b_size, (w, h));
+            let want: Vec<f32> = resize_plane(&a, a_size.0, a_size.1, w, h)
+                .iter()
+                .zip(resize_plane(&b, b_size.0, b_size.1, w, h))
+                .map(|(&va, vb)| (va + vb).clamp(0.0, 1.0))
+                .collect();
+            assert_eq!(got.len(), w * h);
+            for (i, (g, v)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    if v.is_nan() {
+                        g.is_nan()
+                    } else {
+                        g.to_bits() == v.to_bits()
+                    },
+                    "{a_size:?} + {b_size:?} -> {w}x{h} at {i}: {g} != {v}"
+                );
+            }
+        },
+    );
+    for (what, count) in [
+        ("up", up),
+        ("down", down),
+        ("equal", equal),
+        ("copied", copies),
+        ("1-pixel", thin),
+    ] {
+        assert!(count > 0, "no {what} axis or plane drawn");
+    }
 }
 
 #[test]
