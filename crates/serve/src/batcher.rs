@@ -5,9 +5,10 @@
 //! sessions: the per-call fixed cost (weight traversal, cache warmup,
 //! dispatch) dominates and the worker pool starves on tiny kernels. The
 //! batcher coalesces every session's pending SR/recovery head into **one
-//! stacked `conv2d` call** (one `[jobs, c, h, w]` batch tensor) so the
-//! batch × out-channel split in [`nerve_tensor::conv::conv2d`] actually
-//! has planes to distribute across the [`nerve_tensor::par`] pool.
+//! stacked `conv2d` call** (one `[jobs, c, h, w]` batch tensor), which
+//! [`nerve_tensor::conv::conv2d`] runs eight jobs per vector on the
+//! direct kernel, or as one GEMM, and can split across the
+//! [`nerve_tensor::par`] pool.
 //!
 //! Scheduling is earliest-deadline-first over *playout* deadlines, with
 //! the PR-1 degradation ladder as the shed path: a job whose remaining
@@ -519,13 +520,15 @@ impl InferenceBatcher {
             });
         }
 
-        // One stacked forward pass for every full-served job: this is
-        // the call whose batch × out-channel planes fan out across the
-        // worker pool. `conv2d` dispatches by shape — `small()`'s
-        // backbone (K = 2·3·3 = 18) stays on the direct kernel while
-        // `bench()`'s (K = 8·3·3 = 72 at 32×64 planes) takes the im2col
-        // + blocked GEMM path, so per-job cost at occupancy 8/32 drops
-        // without the meter charge (analytic, pre-dispatch) changing.
+        // One stacked forward pass for every full-served job. `conv2d`
+        // dispatches by shape — `small()`'s backbone (K = 2·3·3 = 18)
+        // stays on the direct kernel, eight jobs per vector from 8 jobs
+        // up, while `bench()`'s (K = 8·3·3 = 72 at 32×64 planes) takes
+        // the im2col + blocked GEMM path — without the meter charge
+        // (analytic, pre-dispatch) changing. A sharded fleet's workers
+        // run the call inline, under `PoolGuard`; only the one inline
+        // shard of a one-server or traced fleet lets `conv2d` split it
+        // across the worker pool.
         if !batch_members.is_empty() {
             // Each job's input is drawn straight into its slot of the
             // stacked batch.

@@ -18,7 +18,7 @@
 //! [`set_workers`] override, then `NERVE_JOBS`, then
 //! `available_parallelism`. Workers mark themselves with
 //! [`nerve_tensor::par::PoolGuard`], which makes nested [`map`] calls
-//! (and the conv2d batch×channel split) run serially instead of
+//! (and the conv2d batch split) run serially instead of
 //! oversubscribing the machine — parallelism applies at the outermost
 //! sweep that reaches it first.
 

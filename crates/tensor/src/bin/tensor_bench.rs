@@ -4,20 +4,23 @@
 //! the shapes the pipeline actually runs (SR head, enhancement head,
 //! batcher backbone at occupancy 32), at 1/4/8 worker threads, plus the
 //! fused head against the staged ops at one worker and the fleet
-//! batcher's small backbone (`serve_backbone`) through `conv2d`. Every
+//! batcher's small backbone (`serve_backbone`) through `conv2d`, each
+//! batch labelled with the path it takes (`direct` for one image,
+//! `direct_lanes` for the eight-image lane blocks). Every
 //! GEMM measurement is gated on bit-identity with the direct kernel
 //! before it counts. Each rate is the median of [`REPEATS`] samples of
 //! ~0.25 s.
 //!
 //! Writes `BENCH_tensor.json`. With `--digest-out PATH` it instead
-//! writes one FNV-1a digest per kernel output — wall-clock free, so CI
+//! writes one FNV-1a digest per kernel output (the shapes, the fused
+//! head and the backbone at 13 and 1642 jobs) — wall-clock free, so CI
 //! can `cmp` the file across `--jobs` values to prove the kernels and
 //! meter are worker-count invariant.
 //!
 //! Usage:
 //!   nerve-tensor-bench [--jobs N] [--out PATH] [--digest-out PATH]
 
-use nerve_tensor::conv::{conv2d, conv2d_direct, ConvSpec};
+use nerve_tensor::conv::{self, conv2d, conv2d_direct, ConvSpec};
 use nerve_tensor::fused::{head_forward, PlaneSource};
 use nerve_tensor::gemm::{self, conv2d_gemm};
 use nerve_tensor::net::Conv2d;
@@ -59,6 +62,22 @@ const BACKBONE: (ConvSpec, usize, usize) = (
 /// traced `serve.occupancy_mean` (perfbench, seed 1: 1642.2 jobs per
 /// stacked call).
 const BACKBONE_BATCHES: [usize; 2] = [1, 1642];
+
+/// The backbone's batch sizes in the digest file, both on the lane
+/// blocks: 13 (one full block and one with three idle lanes, below the
+/// parallel split) and 1642 (206 blocks, split at `--jobs` > 1).
+const BACKBONE_DIGEST_BATCHES: [usize; 2] = [13, 1642];
+
+/// The path `conv2d` takes for a batch of `n` on `spec` at `oh x ow`.
+fn conv_path(spec: ConvSpec, n: usize, oh: usize, ow: usize) -> &'static str {
+    if gemm::eligible(spec, oh, ow) {
+        "gemm"
+    } else if n >= conv::LANES {
+        "direct_lanes"
+    } else {
+        "direct"
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -178,11 +197,6 @@ fn main() {
     // dispatches to.
     let (spec, h, w) = BACKBONE;
     let (oh, ow) = spec.out_size(h, w);
-    let kernel = if gemm::eligible(spec, oh, ow) {
-        "gemm"
-    } else {
-        "direct"
-    };
     let weight = seeded_weight(0xFACE, spec);
     let bias = seeded_bias(0xD00D, spec);
     let mut backbone = format!(
@@ -192,6 +206,7 @@ fn main() {
     for (i, n) in BACKBONE_BATCHES.into_iter().enumerate() {
         let input = seeded_input(0x5E4E ^ n as u32, n, spec.in_channels, h, w);
         let (macs, _) = spec.forward_work(n, h, w);
+        let kernel = conv_path(spec, n, oh, ow);
         let rate = time_macs_per_sec(macs, || {
             let _ = conv2d(&input, &weight, &bias, spec);
         });
@@ -264,22 +279,10 @@ fn write_digests(path: &str) {
         let input = seeded_input(0xBEEF ^ label.len() as u32, n, spec.in_channels, h, w);
         let weight = seeded_weight(0xFACE, spec);
         let bias = seeded_bias(0xD00D, spec);
-        let out = conv2d(&input, &weight, &bias, spec);
-        nerve_tensor::meter::start();
-        let _ = nerve_tensor::meter::stage("bench", || conv2d(&input, &weight, &bias, spec));
-        let profile = nerve_tensor::meter::stop();
-        let cost = profile.stage("bench");
         if !entries.is_empty() {
             entries.push(',');
         }
-        let _ = write!(
-            entries,
-            "\n    {{\"shape\": \"{label}\", \"digest\": \"{:016x}\", \
-             \"macs\": {}, \"bytes\": {}}}",
-            fnv1a(out.data()),
-            cost.macs,
-            cost.bytes
-        );
+        entries.push_str(&conv_digest(label, &input, &weight, &bias, spec));
     }
     // The fused head participates too: digest over the shuffled output.
     let (h, w) = (96usize, 160usize);
@@ -297,12 +300,46 @@ fn write_digests(path: &str) {
         ",\n    {{\"shape\": \"fused_sr_head\", \"digest\": \"{:016x}\"}}",
         fnv1a(fused.data())
     );
+    // The batcher's backbone on the lane blocks, with the same inputs as
+    // its timed rows.
+    let (spec, h, w) = BACKBONE;
+    let weight = seeded_weight(0xFACE, spec);
+    let bias = seeded_bias(0xD00D, spec);
+    for n in BACKBONE_DIGEST_BATCHES {
+        let input = seeded_input(0x5E4E ^ n as u32, n, spec.in_channels, h, w);
+        let label = format!("serve_backbone_n{n}");
+        entries.push(',');
+        entries.push_str(&conv_digest(&label, &input, &weight, &bias, spec));
+    }
     let json = format!("{{\n  \"kernels\": [{entries}\n  ]\n}}\n");
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("[failed to write {path}: {e}]");
         std::process::exit(1);
     }
     eprintln!("[wrote {path}]");
+}
+
+/// One digest-file entry: the FNV-1a digest of `conv2d`'s output and
+/// the meter's charge for the call.
+fn conv_digest(
+    label: &str,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &[f32],
+    spec: ConvSpec,
+) -> String {
+    let out = conv2d(input, weight, bias, spec);
+    nerve_tensor::meter::start();
+    let _ = nerve_tensor::meter::stage("bench", || conv2d(input, weight, bias, spec));
+    let profile = nerve_tensor::meter::stop();
+    let cost = profile.stage("bench");
+    format!(
+        "\n    {{\"shape\": \"{label}\", \"digest\": \"{:016x}\", \
+         \"macs\": {}, \"bytes\": {}}}",
+        fnv1a(out.data()),
+        cost.macs,
+        cost.bytes
+    )
 }
 
 /// Samples per rate; the bench reports their median.

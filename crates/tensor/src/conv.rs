@@ -8,7 +8,8 @@
 //!   the contiguous run whose input lies inside the plane, so padded
 //!   taps are skipped rather than added as zeros — kept for
 //!   tiny-channel shapes (the fleet batcher's backbone) where im2col
-//!   overhead dominates;
+//!   overhead dominates, and run eight images per vector, one lane each,
+//!   on batches of eight or more;
 //! * an **im2col + cache-blocked GEMM** path ([`crate::gemm`]) for the
 //!   head-sized shapes that dominate the MACs budget.
 //!
@@ -184,7 +185,8 @@ fn prepare_forward(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec
 ///
 /// Dispatches by shape: head-sized convolutions (enough taps and output
 /// positions to amortize packing) run the im2col + blocked-GEMM kernel
-/// ([`crate::gemm`]); tiny-channel shapes keep the direct loop. Both
+/// ([`crate::gemm`]); tiny-channel shapes keep the direct loop, eight
+/// images per vector on batches of at least [`LANES`]. Both
 /// kernels produce bit-identical outputs and the analytic cost is
 /// charged here, on the caller thread, before either runs.
 ///
@@ -223,8 +225,17 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSp
     out
 }
 
-/// Direct kernel over a pre-validated, pre-charged output tensor,
-/// splitting batch × output-channel planes across the worker pool.
+/// Images per lane block: a direct-kernel batch of at least this many
+/// images runs in blocks of this many, one vector lane per image.
+pub const LANES: usize = 8;
+
+/// Direct kernel over a pre-validated, pre-charged output tensor.
+///
+/// A batch of at least [`LANES`] images runs in blocks of [`LANES`], one
+/// lane per image ([`conv_lane_block`]); smaller batches, where one
+/// image would leave most lanes idle, run [`conv_plane`] per (image,
+/// out-channel) plane. Either way the units (blocks or planes) split
+/// across the worker pool in contiguous ranges.
 fn conv2d_direct_into(
     input: &Tensor,
     weight: &Tensor,
@@ -234,43 +245,144 @@ fn conv2d_direct_into(
     macs: u64,
 ) {
     let (h, w) = (input.h(), input.w());
-    // Each image's channel planes, borrowed once rather than per output plane.
-    let images: Vec<Vec<&[f32]>> = (0..input.n()).map(|n| image_planes(input, n)).collect();
-    let images = &images;
+    let n = input.n();
     let oc_n = spec.out_channels;
-    let plane = move |p: usize, out: &mut [f32]| {
-        conv_plane(&images[p / oc_n], h, w, weight, bias, spec, p % oc_n, out)
-    };
-    let planes = input.n() * oc_n;
     let plane_len = out.h() * out.w();
-    let workers = crate::par::workers().min(planes);
-    if workers > 1 && !crate::par::in_pool() && macs >= PAR_MIN_MACS {
-        // Contiguous plane ranges, one scoped thread each.
-        let per = planes.div_ceil(workers);
-        let mut groups: Vec<Vec<(usize, &mut [f32])>> = Vec::with_capacity(workers);
-        let mut cur: Vec<(usize, &mut [f32])> = Vec::with_capacity(per);
-        for item in out.data_mut().chunks_mut(plane_len).enumerate() {
-            cur.push(item);
-            if cur.len() == per {
-                groups.push(std::mem::take(&mut cur));
+    if n >= LANES {
+        let image_len = input.c() * h * w;
+        let block_in = LANES * image_len;
+        let block_out = LANES * oc_n * plane_len;
+        let blocks = n.div_ceil(LANES);
+        for_unit_ranges(out.data_mut(), block_out, blocks, macs, |first, out| {
+            // One scratch per worker, reused by each of its blocks.
+            let mut x = vec![0.0f32; block_in];
+            let mut acc = vec![0.0f32; LANES * plane_len];
+            let blocks_in = input.data().chunks(block_in).skip(first);
+            for (block, out) in blocks_in.zip(out.chunks_mut(block_out)) {
+                conv_lane_block(block, h, w, weight, bias, spec, &mut x, &mut acc, out);
             }
-        }
-        if !cur.is_empty() {
-            groups.push(cur);
-        }
+        });
+    } else {
+        // Each image's channel planes, borrowed once rather than per
+        // output plane.
+        let images: Vec<Vec<&[f32]>> = (0..n).map(|n| image_planes(input, n)).collect();
+        for_unit_ranges(out.data_mut(), plane_len, n * oc_n, macs, |first, out| {
+            for (p, out) in (first..).zip(out.chunks_mut(plane_len)) {
+                conv_plane(&images[p / oc_n], h, w, weight, bias, spec, p % oc_n, out);
+            }
+        });
+    }
+}
+
+/// Run `f(first, chunk)` over `out` cut into `units` consecutive units
+/// of `unit_len` floats each (the last may be shorter), where `chunk`
+/// starts at unit `first`. Large calls from outside the pool run one
+/// contiguous range of units per scoped thread; the rest run serially
+/// as one range. Each unit is written by exactly one thread, so the
+/// output is the same at every worker count.
+fn for_unit_ranges(
+    out: &mut [f32],
+    unit_len: usize,
+    units: usize,
+    macs: u64,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    let workers = crate::par::workers().min(units);
+    if workers > 1 && !crate::par::in_pool() && macs >= PAR_MIN_MACS {
+        let per = units.div_ceil(workers);
+        let f = &f;
         std::thread::scope(|s| {
-            for group in groups {
+            for (i, chunk) in out.chunks_mut(per * unit_len).enumerate() {
                 s.spawn(move || {
                     let _in_pool = crate::par::PoolGuard::new();
-                    for (p, out) in group {
-                        plane(p, out);
-                    }
+                    f(i * per, chunk);
                 });
             }
         });
     } else {
-        for (p, out) in out.data_mut().chunks_mut(plane_len).enumerate() {
-            plane(p, out);
+        f(0, out);
+    }
+}
+
+/// Forward convolution of up to [`LANES`] images at once, one vector
+/// lane per image: `input` holds the block's images (`[n][ic][h][w]`,
+/// `n <= LANES`) and `out` receives their outputs (`[n][oc][oh][ow]`).
+///
+/// The images are copied into `x`, interleaved as `[ic][y][x][lane]`
+/// (missing lanes are zero), and each output channel is accumulated in
+/// `acc` as `[oy][ox][lane]` by [`conv_plane`]'s tap-streamed loop over
+/// 8-wide elements: the bias first, then every in-frame tap in
+/// ascending `(ic, ky, kx)` order, each as a separate multiply and add.
+/// So each output gets the same float ops in the same order as in
+/// [`conv_plane`], bit for bit, while a row run of an 8×16 plane is
+/// 8 × 16 contiguous floats instead of 16. Lanes never mix, so the
+/// padding lanes of a partial block touch no real output; their
+/// results are dropped.
+#[allow(clippy::too_many_arguments)]
+fn conv_lane_block(
+    input: &[f32],
+    h: usize,
+    w: usize,
+    weight: &Tensor,
+    bias: &[f32],
+    spec: ConvSpec,
+    x: &mut [f32],
+    acc: &mut [f32],
+    out: &mut [f32],
+) {
+    let (oh, ow) = spec.out_size(h, w);
+    let (k, stride, pad) = (spec.kernel, spec.stride, spec.pad);
+    let taps = k * k;
+    let image_len = spec.in_channels * h * w;
+    let plane_len = oh * ow;
+    if input.len() < LANES * image_len {
+        x.fill(0.0);
+    }
+    for (lane, image) in input.chunks_exact(image_len).enumerate() {
+        for (xs, &v) in x[lane..].iter_mut().step_by(LANES).zip(image) {
+            *xs = v;
+        }
+    }
+    let wdata = weight.data().chunks_exact(spec.in_channels * taps);
+    for (oc, (w_oc, &b)) in wdata.zip(bias).enumerate() {
+        acc.fill(b);
+        for (plane, w_ic) in x.chunks_exact(h * w * LANES).zip(w_oc.chunks_exact(taps)) {
+            for (ky, w_ky) in w_ic.chunks_exact(k).enumerate() {
+                let rows = in_frame(ky, pad, stride, h, oh);
+                for (kx, &wv) in w_ky.iter().enumerate() {
+                    let run = in_frame(kx, pad, stride, w, ow);
+                    if run.is_empty() {
+                        continue;
+                    }
+                    let ix = run.start * stride + kx - pad;
+                    let len = run.len() * LANES;
+                    for oy in rows.clone() {
+                        let src = &plane[((oy * stride + ky - pad) * w + ix) * LANES..];
+                        let dst = &mut acc[(oy * ow + run.start) * LANES..][..len];
+                        if stride == 1 {
+                            for (o, x) in dst.iter_mut().zip(&src[..len]) {
+                                *o += x * wv;
+                            }
+                        } else {
+                            let src = src.chunks_exact(LANES).step_by(stride);
+                            for (o, x) in dst.chunks_exact_mut(LANES).zip(src) {
+                                for (o, x) in o.iter_mut().zip(x) {
+                                    *o += x * wv;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for (lane, image) in out
+            .chunks_exact_mut(spec.out_channels * plane_len)
+            .enumerate()
+        {
+            let dst = &mut image[oc * plane_len..(oc + 1) * plane_len];
+            for (o, &v) in dst.iter_mut().zip(acc[lane..].iter().step_by(LANES)) {
+                *o = v;
+            }
         }
     }
 }
@@ -314,8 +426,8 @@ pub(crate) fn conv_image(
 }
 
 /// Compute output channel `oc` of one image, given as its borrowed
-/// `h x w` input channel planes, into `out`. Shared by the serial and
-/// parallel forward paths and by [`conv_image`].
+/// `h x w` input channel planes, into `out`. Runs batches of fewer than
+/// [`LANES`] images and [`conv_image`].
 ///
 /// Streamed by tap: the plane is filled with the bias, then every tap,
 /// in ascending `(ic, ky, kx)` order, adds `x * w` along each output row

@@ -28,9 +28,12 @@
 //!   paper's Table 1 columns.
 //!
 //! Everything is deterministic given a seed; no unsafe. The only
-//! threading is the scoped batch×channel split in [`conv::conv2d`],
-//! which writes disjoint output planes and is bit-identical at every
-//! worker count (see [`par`]).
+//! threading is [`conv::conv2d`]'s scoped split of the batch: the
+//! direct kernel hands each worker a contiguous range of image blocks
+//! (eight images, one vector lane each; (image, out-channel) planes
+//! below eight images) and GEMM a range of images or output channels.
+//! Each output is written by one worker, so the result is bit-identical
+//! at every worker count (see [`par`]).
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 

@@ -2,8 +2,8 @@
 //! experiment sweep.
 //!
 //! One process-wide worker count drives every parallel loop in the
-//! workspace: the `nerve-sim::sweep` runner and the batch×channel split
-//! in [`crate::conv::conv2d`]. Resolution order:
+//! workspace: the `nerve-sim::sweep` runner and the batch split in
+//! [`crate::conv::conv2d`]. Resolution order:
 //!
 //! 1. an explicit [`set_workers`] call (the experiments binary's
 //!    `--jobs` flag);

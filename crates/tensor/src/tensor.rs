@@ -208,9 +208,10 @@ impl Tensor {
     ///
     /// This is how the edge server's cross-session batcher coalesces
     /// per-session inference inputs into one `conv2d` call: the batched
-    /// forward pass splits batch × out-channel planes across the worker
-    /// pool, so stacking is what converts "N sessions, N small convs"
-    /// into "one conv wide enough to parallelize".
+    /// forward pass runs eight images per vector on the direct kernel
+    /// and splits the batch across the worker pool, so stacking is what
+    /// converts "N sessions, N small convs" into "one conv wide enough to
+    /// vectorize and parallelize".
     pub fn stack(parts: &[&Tensor]) -> Tensor {
         assert!(!parts.is_empty(), "stack needs at least one tensor");
         let [_, c, h, w] = parts[0].shape;

@@ -13,6 +13,13 @@
 //! kernel that multiplies a padded tap by zero instead of skipping it
 //! turns a finite output into NaN there. NaN compares as NaN; every
 //! other value compares by its bits, so `-0.0` differs from `+0.0`.
+//!
+//! Batches of 8 or more images run in lane blocks of 8, one vector lane
+//! per image, with the last block padded by idle lanes. The lane suites
+//! walk the same grid and the every-tap-clipped cases at batches 7, 8,
+//! 9, 16 and 17 (below, at, between and above the multiples of 8), and
+//! run two shapes large enough that 4 workers split the blocks between
+//! them.
 
 use nerve_rng::{check_cases, DetRng, Rng};
 use nerve_tensor::conv::{conv2d, conv2d_direct, ConvSpec};
@@ -203,6 +210,50 @@ fn planes_for(k: usize) -> [(usize, usize); 6] {
     ]
 }
 
+/// One seeded case of the grid: a random spec of kernel `k` on an
+/// `h x w` plane, at a batch drawn by `batch`, with ±inf/NaN borders in
+/// half the cases and a `-0.0` first bias in a quarter.
+#[allow(clippy::too_many_arguments)]
+fn grid_case(
+    rng: &mut DetRng,
+    name: &str,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    h: usize,
+    w: usize,
+    batch: impl Fn(&mut DetRng) -> usize,
+) {
+    let spec = ConvSpec {
+        in_channels: rng.random_range(1..5usize),
+        out_channels: rng.random_range(1..5usize),
+        kernel: k,
+        stride,
+        pad,
+    };
+    if spec.checked_out_size(h, w).is_none() {
+        return;
+    }
+    let n = batch(rng);
+    let mut data = uniform(rng, n * spec.in_channels * h * w);
+    if rng.random_range(0..2u32) == 0 {
+        poison_border(rng, &mut data, h, w);
+    }
+    let input = Tensor::from_vec(n, spec.in_channels, h, w, data);
+    let weight = Tensor::from_vec(
+        spec.out_channels,
+        spec.in_channels,
+        k,
+        k,
+        uniform(rng, spec.out_channels * spec.in_channels * k * k),
+    );
+    let mut bias = uniform(rng, spec.out_channels);
+    if rng.random_range(0..4u32) == 0 {
+        bias[0] = -0.0;
+    }
+    check_against_oracle(name, &input, &weight, &bias, spec);
+}
+
 #[test]
 fn direct_kernel_matches_the_per_pixel_oracle_over_the_grid() {
     let mut cases = 0;
@@ -214,34 +265,9 @@ fn direct_kernel_matches_the_per_pixel_oracle_over_the_grid() {
                 for (h, w) in planes_for(k) {
                     let name = format!("k{k} s{stride} p{pad} {h}x{w}");
                     check_cases(&name, 2, |rng| {
-                        let spec = ConvSpec {
-                            in_channels: rng.random_range(1..5usize),
-                            out_channels: rng.random_range(1..5usize),
-                            kernel: k,
-                            stride,
-                            pad,
-                        };
-                        if spec.checked_out_size(h, w).is_none() {
-                            return;
-                        }
-                        let n = rng.random_range(1..6usize);
-                        let mut data = uniform(rng, n * spec.in_channels * h * w);
-                        if rng.random_range(0..2u32) == 0 {
-                            poison_border(rng, &mut data, h, w);
-                        }
-                        let input = Tensor::from_vec(n, spec.in_channels, h, w, data);
-                        let weight = Tensor::from_vec(
-                            spec.out_channels,
-                            spec.in_channels,
-                            k,
-                            k,
-                            uniform(rng, spec.out_channels * spec.in_channels * k * k),
-                        );
-                        let mut bias = uniform(rng, spec.out_channels);
-                        if rng.random_range(0..4u32) == 0 {
-                            bias[0] = -0.0;
-                        }
-                        check_against_oracle(&name, &input, &weight, &bias, spec);
+                        grid_case(rng, &name, k, stride, pad, h, w, |rng| {
+                            rng.random_range(1..6usize)
+                        })
                     });
                     cases += 1;
                 }
@@ -251,38 +277,121 @@ fn direct_kernel_matches_the_per_pixel_oracle_over_the_grid() {
     assert!(cases >= 80, "the grid shrank to {cases} cells");
 }
 
+/// Batch sizes around the lane-block width of 8: one short of a block,
+/// one block, one block and one image, two blocks, two and one.
+const LANE_BATCHES: [usize; 5] = [7, 8, 9, 16, 17];
+
+/// The grid again at every batch of [`LANE_BATCHES`].
+#[test]
+fn lane_blocks_match_the_per_pixel_oracle_over_the_grid() {
+    let mut cases = 0;
+    for k in [1usize, 3, 5] {
+        for stride in [1usize, 2] {
+            let mut pads = vec![0, k / 2, k - 1];
+            pads.dedup();
+            for pad in pads {
+                for (h, w) in planes_for(k) {
+                    for n in LANE_BATCHES {
+                        let name = format!("n{n} k{k} s{stride} p{pad} {h}x{w}");
+                        check_cases(&name, 1, |rng| {
+                            grid_case(rng, &name, k, stride, pad, h, w, |_| n)
+                        });
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases >= 400, "the lane grid shrank to {cases} cells");
+}
+
+/// Shapes whose MACs cross the conv's parallel-split threshold (2^20),
+/// so at 4 workers the lane blocks split across threads, the last one
+/// partial: the batcher's backbone at 121 jobs (16 blocks, one image in
+/// the last) and a 5×5 stride-2 conv on 17×33 planes at 25 images.
+#[test]
+fn lane_blocks_split_across_workers_match_the_per_pixel_oracle() {
+    let backbone = ConvSpec::same(2, 4, 3);
+    let strided = ConvSpec {
+        in_channels: 4,
+        out_channels: 4,
+        kernel: 5,
+        stride: 2,
+        pad: 2,
+    };
+    for (n, spec, h, w) in [(121usize, backbone, 8usize, 16usize), (25, strided, 17, 33)] {
+        let name = format!("split n{n} k{} s{}", spec.kernel, spec.stride);
+        assert!(
+            spec.forward_work(n, h, w).0 >= 1 << 20,
+            "{name} no longer splits"
+        );
+        check_cases(&name, 2, |rng| {
+            let mut data = uniform(rng, n * spec.in_channels * h * w);
+            poison_border(rng, &mut data, h, w);
+            let input = Tensor::from_vec(n, spec.in_channels, h, w, data);
+            let taps = spec.in_channels * spec.kernel * spec.kernel;
+            let weight = Tensor::from_vec(
+                spec.out_channels,
+                spec.in_channels,
+                spec.kernel,
+                spec.kernel,
+                uniform(rng, spec.out_channels * taps),
+            );
+            let mut bias = uniform(rng, spec.out_channels);
+            bias[0] = -0.0;
+            check_against_oracle(&name, &input, &weight, &bias, spec);
+        });
+    }
+}
+
 /// With `pad >= k` the outer outputs read no input at all: the kernel
 /// must leave the bias there untouched, `-0.0` included. (Kept to
 /// shapes with `in_channels * k * k` below the GEMM threshold, so
 /// `conv2d` runs the direct kernel too; the GEMM panel adds the padding
 /// as explicit `+0.0` products, see `gemm`'s bit-identity contract.)
+fn every_tap_clipped_case(rng: &mut DetRng, batch: impl Fn(&mut DetRng) -> usize) {
+    let k = [1usize, 3][rng.random_range(0..2usize)];
+    let spec = ConvSpec {
+        in_channels: rng.random_range(1..3usize),
+        out_channels: rng.random_range(1..5usize),
+        kernel: k,
+        stride: rng.random_range(1..3usize),
+        pad: k + rng.random_range(0..2usize),
+    };
+    let (h, w) = (rng.random_range(1..10usize), rng.random_range(1..20usize));
+    let n = batch(rng);
+    let mut data = uniform(rng, n * spec.in_channels * h * w);
+    poison_border(rng, &mut data, h, w);
+    let input = Tensor::from_vec(n, spec.in_channels, h, w, data);
+    let weight = Tensor::from_vec(
+        spec.out_channels,
+        spec.in_channels,
+        k,
+        k,
+        uniform(rng, spec.out_channels * spec.in_channels * k * k),
+    );
+    let bias = vec![-0.0f32; spec.out_channels];
+    check_against_oracle("every tap clipped", &input, &weight, &bias, spec);
+    // Every image's top-left output window lies wholly in the padding.
+    let out = conv2d_direct(&input, &weight, &bias, spec);
+    for image in out.data().chunks(out.c() * out.h() * out.w()) {
+        assert_eq!(image[0].to_bits(), (-0.0f32).to_bits());
+    }
+}
+
 #[test]
 fn outputs_with_every_tap_clipped_keep_a_negative_zero_bias() {
     check_cases("every_tap_clipped", 16, |rng| {
-        let k = [1usize, 3][rng.random_range(0..2usize)];
-        let spec = ConvSpec {
-            in_channels: rng.random_range(1..3usize),
-            out_channels: rng.random_range(1..5usize),
-            kernel: k,
-            stride: rng.random_range(1..3usize),
-            pad: k + rng.random_range(0..2usize),
-        };
-        let (h, w) = (rng.random_range(1..10usize), rng.random_range(1..20usize));
-        let n = rng.random_range(1..4usize);
-        let mut data = uniform(rng, n * spec.in_channels * h * w);
-        poison_border(rng, &mut data, h, w);
-        let input = Tensor::from_vec(n, spec.in_channels, h, w, data);
-        let weight = Tensor::from_vec(
-            spec.out_channels,
-            spec.in_channels,
-            k,
-            k,
-            uniform(rng, spec.out_channels * spec.in_channels * k * k),
-        );
-        let bias = vec![-0.0f32; spec.out_channels];
-        check_against_oracle("every tap clipped", &input, &weight, &bias, spec);
-        // The top-left output's window lies wholly in the padding.
-        let out = conv2d_direct(&input, &weight, &bias, spec);
-        assert_eq!(out.data()[0].to_bits(), (-0.0f32).to_bits());
+        every_tap_clipped_case(rng, |rng| rng.random_range(1..4usize))
     });
+}
+
+/// The same in lane blocks, at every batch of [`LANE_BATCHES`].
+#[test]
+fn lane_blocks_keep_a_negative_zero_bias_where_every_tap_is_clipped() {
+    for n in LANE_BATCHES {
+        check_cases(&format!("every_tap_clipped n{n}"), 8, |rng| {
+            every_tap_clipped_case(rng, |_| n)
+        });
+    }
 }

@@ -4,7 +4,9 @@
 //! These are the invariants that let `conv2d` dispatch by shape without
 //! fleet digests or cost traces ever noticing.
 
-use nerve_serve::{run_fleet, FleetConfig, InferenceBatcher, InferenceJob, JobKind, ServerModel};
+use nerve_serve::{
+    run_fleet, FleetConfig, InferenceBatcher, InferenceJob, JobKind, ServerModel, Service,
+};
 use nerve_tensor::conv::{conv2d, conv2d_direct, ConvSpec};
 use nerve_tensor::fused::{head_forward, PlaneSource};
 use nerve_tensor::gemm::conv2d_gemm;
@@ -279,42 +281,52 @@ fn fused_head_is_bit_identical_to_staged_at_every_worker_count() {
     }
 }
 
+/// The checksums of one flush of `jobs` recovery jobs, one per session,
+/// all served in full, at `workers` workers.
+fn flush_checksums(model: ServerModel, jobs: usize, workers: usize) -> Vec<u32> {
+    let ladder = vec![512u32, 1024, 1600, 2640, 4400];
+    at_workers(workers, || {
+        let mut b = InferenceBatcher::new(
+            model,
+            ladder,
+            (0..jobs as u64)
+                .map(|s| s.wrapping_mul(0x9E37_79B9))
+                .collect(),
+        );
+        for s in 0..jobs {
+            b.enqueue(InferenceJob {
+                session: s,
+                chunk: 0,
+                frame: s,
+                kind: JobKind::Recovery,
+                rung: 4,
+                chain: 1,
+                deadline: nerve_net::clock::SimTime::from_secs_f64(100.0),
+            });
+        }
+        let outcomes = b.flush(nerve_net::clock::SimTime::ZERO);
+        assert!(outcomes.iter().all(|o| o.service == Service::Full));
+        outcomes.iter().map(|o| o.checksum.to_bits()).collect()
+    })
+}
+
 #[test]
 fn batcher_checksums_are_invariant_across_worker_counts() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let ladder = vec![512u32, 1024, 1600, 2640, 4400];
-    let flush = |workers: usize| {
-        at_workers(workers, || {
-            let mut b = InferenceBatcher::new(
-                ServerModel::bench(),
-                ladder.clone(),
-                (0..32u64).map(|s| s.wrapping_mul(0x9E37_79B9)).collect(),
+    // `bench()` at 32 jobs takes GEMM. `small()` at 150 jobs takes the
+    // direct kernel's lane blocks: 150 is not a multiple of 8, and
+    // 150 · 4 · 8·16 · 18 MACs crosses the conv's parallel-split
+    // threshold (2^20, from 114 jobs up), so 2 and 4 workers split it.
+    for (model, jobs) in [(ServerModel::bench(), 32), (ServerModel::small(), 150)] {
+        let reference = flush_checksums(model.clone(), jobs, 1);
+        assert_eq!(reference.len(), jobs);
+        for &workers in &WORKER_COUNTS[1..] {
+            assert_eq!(
+                reference,
+                flush_checksums(model.clone(), jobs, workers),
+                "batcher checksums diverged at {workers} workers ({jobs} jobs)"
             );
-            for s in 0..32usize {
-                b.enqueue(InferenceJob {
-                    session: s,
-                    chunk: 0,
-                    frame: s,
-                    kind: JobKind::Recovery,
-                    rung: 4,
-                    chain: 1,
-                    deadline: nerve_net::clock::SimTime::from_secs_f64(100.0),
-                });
-            }
-            b.flush(nerve_net::clock::SimTime::ZERO)
-                .iter()
-                .map(|o| o.checksum.to_bits())
-                .collect::<Vec<u32>>()
-        })
-    };
-    let reference = flush(1);
-    assert!(!reference.is_empty());
-    for &workers in &WORKER_COUNTS[1..] {
-        assert_eq!(
-            reference,
-            flush(workers),
-            "batcher checksums diverged at {workers} workers"
-        );
+        }
     }
 }
 
