@@ -6,9 +6,9 @@
 //! dispatch) dominates and the worker pool starves on tiny kernels. The
 //! batcher coalesces every session's pending SR/recovery head into **one
 //! stacked `conv2d` call** (one `[jobs, c, h, w]` batch tensor), which
-//! [`nerve_tensor::conv::conv2d`] runs eight jobs per vector on the
-//! direct kernel, or as one GEMM, and can split across the
-//! [`nerve_tensor::par`] pool.
+//! [`nerve_tensor::conv::conv2d`] runs eight jobs per vector on small
+//! planes, or eight output channels per vector on large ones, and can
+//! split across the [`nerve_tensor::par`] pool.
 //!
 //! Scheduling is earliest-deadline-first over *playout* deadlines, with
 //! the PR-1 degradation ladder as the shed path: a job whose remaining
@@ -118,7 +118,10 @@ impl ServerModel {
     }
 
     /// A backbone sized so batched calls cross the conv parallelization
-    /// threshold — what the fleet bench exercises.
+    /// threshold — what the fleet bench exercises. Its 32×64 planes are
+    /// too large for the image lanes, so `conv2d` runs it in
+    /// output-channel lanes at any batch size (`nerve-tensor-bench`'s
+    /// `batch32` row).
     pub fn bench() -> Self {
         Self {
             in_channels: 8,
@@ -521,11 +524,10 @@ impl InferenceBatcher {
         }
 
         // One stacked forward pass for every full-served job. `conv2d`
-        // dispatches by shape — `small()`'s backbone (K = 2·3·3 = 18)
-        // stays on the direct kernel, eight jobs per vector from 8 jobs
-        // up, while `bench()`'s (K = 8·3·3 = 72 at 32×64 planes) takes
-        // the im2col + blocked GEMM path — without the meter charge
-        // (analytic, pre-dispatch) changing. A sharded fleet's workers
+        // dispatches by shape — `small()`'s 8×16 backbone runs eight jobs
+        // per vector from 8 jobs up, while `bench()`'s 32×64 planes run
+        // eight output channels per vector — without the bits or the
+        // meter charge (analytic, pre-dispatch) changing. A sharded fleet's workers
         // run the call inline, under `PoolGuard`; only the one inline
         // shard of a one-server or traced fleet lets `conv2d` split it
         // across the worker pool.

@@ -1,40 +1,47 @@
-//! `nerve-tensor-bench` — the conv hot path, kernel by kernel.
+//! `nerve-tensor-bench` — the conv hot path, layout by layout.
 //!
-//! Measures MACs/sec for the direct and im2col+GEMM conv kernels over
-//! the shapes the pipeline actually runs (SR head, enhancement head,
-//! batcher backbone at occupancy 32), at 1/4/8 worker threads, plus the
-//! fused head against the staged ops at one worker and the fleet
-//! batcher's small backbone (`serve_backbone`) through `conv2d`, each
-//! batch labelled with the path it takes (`direct` for one image,
-//! `direct_lanes` for the eight-image lane blocks). Every
-//! GEMM measurement is gated on bit-identity with the direct kernel
-//! before it counts. Each rate is the median of [`REPEATS`] samples of
-//! ~0.25 s.
+//! Measures MACs/sec for each layout of the direct conv kernel
+//! (`conv::Kernel`: planes, output-channel lanes, and image lanes on
+//! batches of eight or more) over the shapes the pipeline runs: every
+//! SR and enhancement head conv of a client frame at evaluation scale 8,
+//! the older 240p-geometry head rows, and the batcher backbone at
+//! occupancy 32 (`ServerModel::bench()`), at 1 and 4 worker threads.
+//! Each row names the layout `conv2d` dispatches to. Then the fused head
+//! against the staged ops at one worker, and the fleet batcher's small
+//! backbone (`serve_backbone`) in every layout at the bench's worker
+//! count, each batch labelled with the layout `conv2d` picks. Every
+//! layout's output is checked bit for bit against the plane layout's
+//! before any timing counts. Each rate is the median of [`REPEATS`]
+//! samples of ~0.25 s, the layouts' samples interleaved.
 //!
-//! Writes `BENCH_tensor.json`. With `--digest-out PATH` it instead
-//! writes one FNV-1a digest per kernel output (the shapes, the fused
-//! head and the backbone at 13 and 1642 jobs) — wall-clock free, so CI
-//! can `cmp` the file across `--jobs` values to prove the kernels and
+//! Writes `BENCH_tensor.json`, then exits non-zero unless, on every row
+//! where `conv2d` runs a lane layout, that layout beats the plane loop
+//! at one worker (`serve_backbone` rows count under `--jobs 1`): a
+//! layout keeps its place only by winning on the shapes it runs. With `--digest-out PATH` it instead writes one FNV-1a
+//! digest per kernel output (the shapes, the fused head, the backbone at
+//! 13 and 1642 jobs and the frame's head convs) — wall-clock free, so
+//! CI can `cmp` the file across `--jobs` values to prove the kernels and
 //! meter are worker-count invariant.
 //!
 //! Usage:
 //!   nerve-tensor-bench [--jobs N] [--out PATH] [--digest-out PATH]
 
-use nerve_tensor::conv::{self, conv2d, conv2d_direct, ConvSpec};
+use nerve_tensor::conv::{conv2d, conv2d_with, ConvSpec, Kernel, LANES};
 use nerve_tensor::fused::{head_forward, PlaneSource};
-use nerve_tensor::gemm::{self, conv2d_gemm};
 use nerve_tensor::net::Conv2d;
 use nerve_tensor::{par, Tensor};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// The benchmarked conv shapes: `(label, n, spec, h, w)` — the shapes
-/// the pipeline actually runs.
-fn shapes() -> Vec<(&'static str, usize, ConvSpec, usize, usize)> {
+/// A benchmarked conv: `(label, n, spec, h, w)`.
+type Shape = (&'static str, usize, ConvSpec, usize, usize);
+
+/// The first benchmarked conv shapes, kept with their labels and inputs
+/// so their digests stay comparable across versions.
+fn shapes() -> Vec<Shape> {
     vec![
         // SR head at 240p eval geometry (96x160 LR plane).
         ("sr_head_conv1", 1, ConvSpec::same(3, 8, 3), 96, 160),
-        // The SR-head money shape (K = 72): the ≥2x GEMM gate runs here.
         ("sr_head_conv2", 1, ConvSpec::same(8, 16, 3), 96, 160),
         // Enhancement head at working resolution.
         ("enhance_conv1", 1, ConvSpec::same(4, 8, 3), 64, 112),
@@ -43,9 +50,28 @@ fn shapes() -> Vec<(&'static str, usize, ConvSpec, usize, usize)> {
     ]
 }
 
+/// The head convs a client frame runs at evaluation scale 8, one image
+/// each: both convs of the SR head at every rung's LR plane (3 → 8, then
+/// 8 → r² for the rung's shuffle factor r) and of the enhancement head
+/// that runs on every recovered frame (4 → 8 → 1).
+fn head_shapes() -> Vec<Shape> {
+    let mut rows = Vec::new();
+    for (label, (h, w), out_c) in [
+        (["r240_conv1", "r240_conv2"], (30, 52), 16),
+        (["r360_conv1", "r360_conv2"], (44, 80), 9),
+        (["r480_conv1", "r480_conv2"], (60, 106), 4),
+        (["r720_conv1", "r720_conv2"], (90, 160), 1),
+    ] {
+        rows.push((label[0], 1, ConvSpec::same(3, 8, 3), h, w));
+        rows.push((label[1], 1, ConvSpec::same(8, out_c, 3), h, w));
+    }
+    rows.push(("enhance_head_conv1", 1, ConvSpec::same(4, 8, 3), 60, 106));
+    rows.push(("enhance_head_conv2", 1, ConvSpec::same(8, 1, 3), 60, 106));
+    rows
+}
+
 /// The fleet batcher's backbone, `serve::batcher::ServerModel::small()`:
-/// 2 → 4 channels, 3×3, on 8×16 planes (K = 18, below the GEMM
-/// threshold).
+/// 2 → 4 channels, 3×3, on 8×16 planes.
 const BACKBONE: (ConvSpec, usize, usize) = (
     ConvSpec {
         in_channels: 2,
@@ -68,15 +94,14 @@ const BACKBONE_BATCHES: [usize; 2] = [1, 1642];
 /// parallel split) and 1642 (206 blocks, split at `--jobs` > 1).
 const BACKBONE_DIGEST_BATCHES: [usize; 2] = [13, 1642];
 
-/// The path `conv2d` takes for a batch of `n` on `spec` at `oh x ow`.
-fn conv_path(spec: ConvSpec, n: usize, oh: usize, ow: usize) -> &'static str {
-    if gemm::eligible(spec, oh, ow) {
-        "gemm"
-    } else if n >= conv::LANES {
-        "direct_lanes"
-    } else {
-        "direct"
+/// The layouts timed on a batch of `n`: image lanes only where a block
+/// can fill its lanes.
+fn layouts(n: usize) -> Vec<Kernel> {
+    let mut layouts = vec![Kernel::Plane, Kernel::ChannelLanes];
+    if n >= LANES {
+        layouts.push(Kernel::ImageLanes);
     }
+    layouts
 }
 
 fn main() {
@@ -136,50 +161,55 @@ fn main() {
     }
 
     let mut shape_entries = String::new();
-    let mut sr_head_speedup = 0.0f64;
-    for (label, n, spec, h, w) in shapes() {
+    // The slowest lane-layout row against the plane loop at one worker.
+    let mut gate: Option<(String, f64)> = None;
+    let mut check = |label: &str, speedup: f64| {
+        if gate.as_ref().is_none_or(|(_, worst)| speedup < *worst) {
+            gate = Some((label.to_string(), speedup));
+        }
+    };
+    for (label, n, spec, h, w) in shapes().into_iter().chain(head_shapes()) {
         let input = seeded_input(0xBEEF ^ label.len() as u32, n, spec.in_channels, h, w);
         let weight = seeded_weight(0xFACE, spec);
         let bias = seeded_bias(0xD00D, spec);
         let (macs, _) = spec.forward_work(n, h, w);
+        let kernel = Kernel::for_conv(spec, n, h, w);
 
         // Bit-identity gate before any timing counts.
-        let d = conv2d_direct(&input, &weight, &bias, spec);
-        let g = conv2d_gemm(&input, &weight, &bias, spec);
-        assert_eq!(
-            d.data(),
-            g.data(),
-            "{label}: GEMM output diverged from direct"
-        );
+        let plane = conv2d_with(Kernel::Plane, &input, &weight, &bias, spec);
+        for layout in layouts(n) {
+            let out = conv2d_with(layout, &input, &weight, &bias, spec);
+            assert_eq!(
+                plane.data(),
+                out.data(),
+                "{label}: {} diverged from the plane loop",
+                layout.name()
+            );
+        }
 
         let mut rows = String::new();
-        for jobs in [1usize, 4, 8] {
-            let direct = with_workers(jobs, || {
-                time_macs_per_sec(macs, || {
-                    let _ = conv2d_direct(&input, &weight, &bias, spec);
-                })
-            });
-            let gemm = with_workers(jobs, || {
-                time_macs_per_sec(macs, || {
-                    let _ = conv2d_gemm(&input, &weight, &bias, spec);
-                })
-            });
-            if label == "sr_head_conv2" && jobs == 1 {
-                sr_head_speedup = gemm / direct;
+        for jobs in [1usize, 4] {
+            let rates = with_workers(jobs, || time_layouts(n, spec, &input, &weight, &bias));
+            let rate_of = |k: Kernel| rates.iter().find(|r| r.0 == k).map_or(0.0, |r| r.1);
+            let speedup = rate_of(kernel) / rate_of(Kernel::Plane);
+            if kernel != Kernel::Plane && jobs == 1 {
+                check(label, speedup);
+            }
+            let mut cols = String::new();
+            for (layout, rate) in &rates {
+                let _ = write!(cols, "\"{}_macs_per_sec\": {rate:.3e}, ", layout.name());
             }
             if !rows.is_empty() {
                 rows.push(',');
             }
             let _ = write!(
                 rows,
-                "\n      {{\"jobs\": {jobs}, \"direct_macs_per_sec\": {direct:.3e}, \
-                 \"gemm_macs_per_sec\": {gemm:.3e}, \"speedup\": {:.2}}}",
-                gemm / direct
+                "\n      {{\"jobs\": {jobs}, {cols}\"speedup\": {speedup:.2}}}"
             );
             eprintln!(
-                "[{label} jobs={jobs}: direct {direct:.2e} MACs/s, gemm {gemm:.2e} \
-                 MACs/s ({:.2}x)]",
-                gemm / direct
+                "[{label} jobs={jobs}: {} {:.2e} MACs/s, {speedup:.2}x the plane loop]",
+                kernel.name(),
+                rate_of(kernel)
             );
         }
         if !shape_entries.is_empty() {
@@ -188,15 +218,18 @@ fn main() {
         let _ = write!(
             shape_entries,
             "\n    {{\"shape\": \"{label}\", \"n\": {n}, \"in_c\": {}, \"out_c\": {}, \
-             \"kernel\": {}, \"h\": {h}, \"w\": {w}, \"macs\": {macs}, \"threads\": [{rows}\n    ]}}",
-            spec.in_channels, spec.out_channels, spec.kernel
+             \"kernel\": {}, \"h\": {h}, \"w\": {w}, \"macs\": {macs}, \
+             \"dispatch\": \"{}\", \"threads\": [{rows}\n    ]}}",
+            spec.in_channels,
+            spec.out_channels,
+            spec.kernel,
+            kernel.name()
         );
     }
 
-    // The batcher's backbone through `conv2d`, at whatever kernel it
-    // dispatches to.
+    // The batcher's backbone in every layout, at the bench's worker
+    // count, labelled with the layout `conv2d` dispatches to.
     let (spec, h, w) = BACKBONE;
-    let (oh, ow) = spec.out_size(h, w);
     let weight = seeded_weight(0xFACE, spec);
     let bias = seeded_bias(0xD00D, spec);
     let mut backbone = format!(
@@ -205,20 +238,37 @@ fn main() {
     );
     for (i, n) in BACKBONE_BATCHES.into_iter().enumerate() {
         let input = seeded_input(0x5E4E ^ n as u32, n, spec.in_channels, h, w);
-        let (macs, _) = spec.forward_work(n, h, w);
-        let kernel = conv_path(spec, n, oh, ow);
-        let rate = time_macs_per_sec(macs, || {
-            let _ = conv2d(&input, &weight, &bias, spec);
-        });
-        eprintln!("[serve_backbone n={n}: {kernel} {:.3} GMAC/s]", rate / 1e9);
+        let kernel = Kernel::for_conv(spec, n, h, w);
+        let rates = time_layouts(n, spec, &input, &weight, &bias);
+        let rate_of = |k: Kernel| rates.iter().find(|r| r.0 == k).map_or(0.0, |r| r.1);
+        let speedup = rate_of(kernel) / rate_of(Kernel::Plane);
+        if kernel != Kernel::Plane && par::workers() == 1 {
+            check(&format!("serve_backbone_n{n}"), speedup);
+        }
+        let mut cols = String::new();
+        for (layout, rate) in &rates {
+            let _ = write!(
+                cols,
+                ", \"{}_gmacs_per_s\": {:.3}",
+                layout.name(),
+                rate / 1e9
+            );
+        }
+        eprintln!(
+            "[serve_backbone n={n}: {} {:.3} GMAC/s, {speedup:.2}x the plane loop]",
+            kernel.name(),
+            rate_of(kernel) / 1e9
+        );
         let _ = write!(
             backbone,
-            "{}\n      {{\"n\": {n}, \"kernel\": \"{kernel}\", \"gmacs_per_s\": {:.3}}}",
+            "{}\n      {{\"n\": {n}, \"kernel\": \"{}\", \"gmacs_per_s\": {:.3}{cols}}}",
             if i > 0 { "," } else { "" },
-            rate / 1e9
+            kernel.name(),
+            rate_of(kernel) / 1e9
         );
     }
     backbone.push_str("\n  ]}");
+    let (gate_shape, gate_speedup) = gate.expect("some row runs a lane layout");
 
     // Fused head vs staged ops at the SR-head shape, both at one worker:
     // `head_forward` is always serial, while the staged `conv2d` calls
@@ -230,31 +280,31 @@ fn main() {
     let planes: Vec<&[f32]> = planes_data.data().chunks(h * w).collect();
     let head_macs = ConvSpec::same(3, 8, 3).forward_work(1, h, w).0
         + ConvSpec::same(8, 16, 3).forward_work(1, h, w).0;
-    let fused_mps = with_workers(1, || {
-        time_macs_per_sec(head_macs, || {
-            let srcs: Vec<PlaneSource> = planes.iter().map(|p| PlaneSource::Slice(p)).collect();
-            let _ = head_forward(&srcs, h, w, &conv1, &conv2, 4);
-        })
+    let fused: Box<dyn FnMut()> = Box::new(|| {
+        let srcs: Vec<PlaneSource> = planes.iter().map(|p| PlaneSource::Slice(p)).collect();
+        let _ = head_forward(&srcs, h, w, &conv1, &conv2, 4);
     });
-    let staged_mps = with_workers(1, || {
-        time_macs_per_sec(head_macs, || {
-            let h1 = nerve_tensor::ops::relu(&conv2d(
-                &planes_data,
-                &conv1.weight,
-                &conv1.bias,
-                conv1.spec,
-            ));
-            let c2 = conv2d(&h1, &conv2.weight, &conv2.bias, conv2.spec);
-            let _ = nerve_tensor::ops::pixel_shuffle(&c2, 4);
-        })
+    let staged: Box<dyn FnMut()> = Box::new(|| {
+        let h1 = nerve_tensor::ops::relu(&conv2d(
+            &planes_data,
+            &conv1.weight,
+            &conv1.bias,
+            conv1.spec,
+        ));
+        let c2 = conv2d(&h1, &conv2.weight, &conv2.bias, conv2.spec);
+        let _ = nerve_tensor::ops::pixel_shuffle(&c2, 4);
     });
+    let [fused_mps, staged_mps] =
+        with_workers(1, || time_macs_per_sec(head_macs, vec![fused, staged]))
+            .try_into()
+            .expect("one rate per function");
     eprintln!(
         "[fused head, 1 worker: {fused_mps:.2e} MACs/s vs staged {staged_mps:.2e} ({:.2}x)]",
         fused_mps / staged_mps
     );
 
     let json = format!(
-        "{{\n  \"bin\": \"nerve-tensor-bench\",\n  \"workers\": {},\n  \"shapes\": [{shape_entries}\n  ],\n  \"sr_head_gemm_speedup\": {sr_head_speedup:.2},\n  \"fused_head\": {{\"workers\": 1, \"fused_macs_per_sec\": {fused_mps:.3e}, \"staged_macs_per_sec\": {staged_mps:.3e}, \"speedup\": {:.2}}},\n  \"serve_backbone\": {backbone}\n}}\n",
+        "{{\n  \"bin\": \"nerve-tensor-bench\",\n  \"workers\": {},\n  \"shapes\": [{shape_entries}\n  ],\n  \"lanes_min_speedup\": {{\"shape\": \"{gate_shape}\", \"speedup\": {gate_speedup:.2}}},\n  \"fused_head\": {{\"workers\": 1, \"fused_macs_per_sec\": {fused_mps:.3e}, \"staged_macs_per_sec\": {staged_mps:.3e}, \"speedup\": {:.2}}},\n  \"serve_backbone\": {backbone}\n}}\n",
         par::workers(),
         fused_mps / staged_mps,
     );
@@ -266,8 +316,9 @@ fn main() {
     // Checked after the write, so a failing gate still leaves its
     // measurements on disk.
     assert!(
-        sr_head_speedup >= 2.0,
-        "GEMM must be >= 2x direct on the SR-head shape, measured {sr_head_speedup:.2}x"
+        gate_speedup > 1.0,
+        "a lane layout must beat the plane loop on every shape conv2d runs it \
+         on; {gate_shape} measured {gate_speedup:.2}x"
     );
 }
 
@@ -311,6 +362,14 @@ fn write_digests(path: &str) {
         entries.push(',');
         entries.push_str(&conv_digest(&label, &input, &weight, &bias, spec));
     }
+    // The frame's head convs, on the output-channel lanes.
+    for (label, n, spec, h, w) in head_shapes() {
+        let input = seeded_input(0xBEEF ^ label.len() as u32, n, spec.in_channels, h, w);
+        let weight = seeded_weight(0xFACE, spec);
+        let bias = seeded_bias(0xD00D, spec);
+        entries.push(',');
+        entries.push_str(&conv_digest(label, &input, &weight, &bias, spec));
+    }
     let json = format!("{{\n  \"kernels\": [{entries}\n  ]\n}}\n");
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("[failed to write {path}: {e}]");
@@ -342,29 +401,66 @@ fn conv_digest(
     )
 }
 
+/// Each of [`layouts`]`(n)` timed on one input, at the current worker
+/// count.
+fn time_layouts(
+    n: usize,
+    spec: ConvSpec,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &[f32],
+) -> Vec<(Kernel, f64)> {
+    let runs: Vec<Box<dyn FnMut()>> = layouts(n)
+        .into_iter()
+        .map(|layout| {
+            Box::new(move || {
+                let _ = conv2d_with(layout, input, weight, bias, spec);
+            }) as Box<dyn FnMut()>
+        })
+        .collect();
+    let (macs, _) = spec.forward_work(n, input.h(), input.w());
+    layouts(n)
+        .into_iter()
+        .zip(time_macs_per_sec(macs, runs))
+        .collect()
+}
+
 /// Samples per rate; the bench reports their median.
 const REPEATS: usize = 5;
 
-/// Time `f` repeatedly and convert to MACs/sec: the median of
-/// [`REPEATS`] samples, each calibrated to ~0.25 s of wall time. One
-/// sample swings by tens of percent between runs on a loaded host.
-fn time_macs_per_sec(macs_per_call: u64, mut f: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64().max(1e-6);
-    let iters = ((0.25 / once) as usize).clamp(3, 2_000);
-    let mut rates: Vec<f64> = (0..REPEATS)
-        .map(|_| {
+/// Time each of `fs` repeatedly and convert to MACs/sec: per function,
+/// the median of [`REPEATS`] samples, each calibrated to ~0.25 s of wall
+/// time. The functions' samples alternate, so a burst of load on the
+/// host lands on all of them rather than on one; one sample swings by
+/// tens of percent between runs on a loaded host.
+fn time_macs_per_sec(macs_per_call: u64, mut fs: Vec<Box<dyn FnMut() + '_>>) -> Vec<f64> {
+    let iters: Vec<usize> = fs
+        .iter_mut()
+        .map(|f| {
+            let t0 = Instant::now();
+            f();
+            let once = t0.elapsed().as_secs_f64().max(1e-6);
+            ((0.25 / once) as usize).clamp(3, 2_000)
+        })
+        .collect();
+    let mut rates = vec![Vec::with_capacity(REPEATS); fs.len()];
+    for _ in 0..REPEATS {
+        for ((f, &iters), rates) in fs.iter_mut().zip(&iters).zip(&mut rates) {
             let t0 = Instant::now();
             for _ in 0..iters {
                 f();
             }
             let per_call = t0.elapsed().as_secs_f64() / iters as f64;
-            macs_per_call as f64 / per_call.max(1e-9)
+            rates.push(macs_per_call as f64 / per_call.max(1e-9));
+        }
+    }
+    rates
+        .into_iter()
+        .map(|mut rates| {
+            rates.sort_by(f64::total_cmp);
+            rates[REPEATS / 2]
         })
-        .collect();
-    rates.sort_by(f64::total_cmp);
-    rates[REPEATS / 2]
+        .collect()
 }
 
 fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {

@@ -1,29 +1,30 @@
 //! 2-D convolution with full backpropagation.
 //!
-//! This is the workhorse of both the recovery and SR heads. Two forward
-//! kernels share one contract:
+//! This is the workhorse of both the recovery and SR heads. One direct
+//! kernel streams every output as the bias followed by its in-frame taps
+//! in ascending `(ic, ky, kx)` order, each a separate multiply and add,
+//! with padded taps skipped rather than added as zeros. It runs in three
+//! layouts ([`Kernel`]):
 //!
-//! * a **direct** kernel that streams by tap: each output plane starts
-//!   as the bias, and each tap adds `x * w` along every output row over
-//!   the contiguous run whose input lies inside the plane, so padded
-//!   taps are skipped rather than added as zeros — kept for
-//!   tiny-channel shapes (the fleet batcher's backbone) where im2col
-//!   overhead dominates, and run eight images per vector, one lane each,
-//!   on batches of eight or more;
-//! * an **im2col + cache-blocked GEMM** path ([`crate::gemm`]) for the
-//!   head-sized shapes that dominate the MACs budget.
+//! * **output-channel lanes** for batches of fewer than eight images
+//!   (every SR and enhancement head frame): the weights are transposed to
+//!   `[ic][ky][kx][lane]` and eight output channels (then a block of four)
+//!   fill the lanes of a vector, with a few pixels of accumulators held in
+//!   registers across every tap; leftover channels run on the plane loop;
+//! * **image lanes** for batches of eight or more (the fleet batcher's
+//!   stacked backbone): eight images per vector, one lane each;
+//! * the **plane** loop, one (image, out-channel) plane at a time, which
+//!   the other two fall back to and are checked against.
 //!
-//! [`conv2d`] dispatches by shape. Both paths accumulate every output
-//! element in the same order (bias first, then taps in ascending
-//! `(ic, ky, kx)` order), so they are bit-identical, and both report the
-//! same analytic cost to the meter on the caller thread *before* any
-//! worker split — traces and fleet digests stay byte-identical whichever
-//! kernel runs and at any `--jobs` count.
+//! Every layout gives each output the same float ops in the same order,
+//! so they are bit-identical, and [`conv2d`] reports the same analytic
+//! cost to the meter on the caller thread *before* any worker split —
+//! traces and fleet digests stay byte-identical whichever layout runs
+//! and at any `--jobs` count.
 //!
 //! Padding is symmetric zero padding ("same" output size when
 //! `stride == 1` and `pad == k/2`).
 
-use crate::gemm;
 use crate::Tensor;
 use std::ops::Range;
 
@@ -110,7 +111,7 @@ impl ConvSpec {
 
     /// Analytic forward-pass cost — `(MACs, bytes moved)` — for an
     /// `[n, in_c, h, w]` input. These are the exact values every forward
-    /// path (direct, GEMM, fused) reports to the cost meter on the
+    /// path (every layout, fused) reports to the cost meter on the
     /// caller thread, which is what keeps traces byte-identical across
     /// kernels and worker counts. Computed in `u64`: the old `usize`
     /// arithmetic overflowed on 32-bit targets for large shapes,
@@ -183,18 +184,88 @@ fn prepare_forward(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec
 /// `input` is `[n, in_c, h, w]`, `weight` is `[out_c, in_c, k, k]`, `bias`
 /// has `out_c` elements. Returns `[n, out_c, oh, ow]`.
 ///
-/// Dispatches by shape: head-sized convolutions (enough taps and output
-/// positions to amortize packing) run the im2col + blocked-GEMM kernel
-/// ([`crate::gemm`]); tiny-channel shapes keep the direct loop, eight
-/// images per vector on batches of at least [`LANES`]. Both
-/// kernels produce bit-identical outputs and the analytic cost is
-/// charged here, on the caller thread, before either runs.
+/// Runs the layout [`Kernel::for_conv`] picks: image lanes on batches of
+/// at least [`LANES`] small planes (the fleet batcher's backbone),
+/// output-channel lanes otherwise, or planes where no block of four
+/// channels fills. Every layout produces the same bits, and the analytic
+/// cost is charged here, on the caller thread, before any runs.
 ///
 /// Large inputs are split across the shared worker pool ([`crate::par`]).
 /// Every output value is computed independently by exactly one worker,
 /// so the output is bit-identical at every worker count; nested calls
 /// from inside a pool worker stay serial.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec) -> Tensor {
+    let kernel = Kernel::for_conv(spec, input.n(), input.h(), input.w());
+    conv2d_with(kernel, input, weight, bias, spec)
+}
+
+/// Lanes per vector: an image-lane block holds this many images, and an
+/// output-channel block this many channels (then one block of half as
+/// many).
+pub const LANES: usize = 8;
+
+/// The layouts of the direct kernel. Each gives every output the same
+/// float ops in the same order, so all three are bit-identical; they
+/// differ in what fills a vector's lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// One (image, out-channel) plane at a time ([`conv_plane`]).
+    Plane,
+    /// One image at a time, [`LANES`] (then four) output channels per
+    /// vector ([`conv_channel_block`]); leftover channels run as planes.
+    ChannelLanes,
+    /// [`LANES`] images per vector, one lane each ([`conv_lane_block`]).
+    ImageLanes,
+}
+
+/// The largest output plane, in pixels, that runs in image lanes. On a
+/// 2-vCPU x86-64 host at one worker, image lanes ran level with channel
+/// lanes on 8×16 planes (128 pixels, the fleet batcher's backbone) and
+/// 1.2× slower on 16×32 planes, where the channel lanes' border share is
+/// smaller.
+const IMAGE_LANES_MAX_PLANE: usize = 256;
+
+impl Kernel {
+    /// The layout [`conv2d`] runs for `spec` on a batch of `n` images of
+    /// `h x w`: image lanes once every lane of a block can hold an image
+    /// and the planes are small; otherwise output-channel lanes, or
+    /// planes when there are fewer than four output channels, which the
+    /// channel lanes would run as planes anyway.
+    pub fn for_conv(spec: ConvSpec, n: usize, h: usize, w: usize) -> Self {
+        let plane = spec.checked_out_size(h, w).map_or(0, |(oh, ow)| oh * ow);
+        if n >= LANES && plane <= IMAGE_LANES_MAX_PLANE {
+            Kernel::ImageLanes
+        } else if spec.out_channels >= LANES / 2 {
+            Kernel::ChannelLanes
+        } else {
+            Kernel::Plane
+        }
+    }
+
+    /// The layout's name in bench output.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Plane => "plane",
+            Kernel::ChannelLanes => "channel_lanes",
+            Kernel::ImageLanes => "image_lanes",
+        }
+    }
+}
+
+/// Forward convolution pinned to one layout. Charges the same analytic
+/// cost as [`conv2d`] and returns the same bits; used by benches and the
+/// layout bit-identity tests.
+///
+/// Each layout cuts the output into units: (image, out-channel) planes,
+/// (image, channel block) pairs, or blocks of [`LANES`] images. The
+/// units split across the worker pool in contiguous ranges.
+pub fn conv2d_with(
+    kernel: Kernel,
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &[f32],
+    spec: ConvSpec,
+) -> Tensor {
     let mut out = prepare_forward(input, weight, bias, spec);
     if out.data().is_empty() {
         return out;
@@ -203,104 +274,94 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec) -> 
     // before the worker split, so attribution is jobs-invariant.
     let (macs, bytes) = spec.forward_work(input.n(), input.h(), input.w());
     crate::meter::add_work(macs, bytes);
-    if gemm::eligible(spec, out.h(), out.w()) {
-        gemm::conv2d_gemm_into(input, weight, bias, spec, &mut out, macs);
-    } else {
-        conv2d_direct_into(input, weight, bias, spec, &mut out, macs);
-    }
-    out
-}
-
-/// Forward convolution pinned to the direct (non-GEMM) kernel. Charges
-/// the same analytic cost as [`conv2d`]; used by benches and the
-/// GEMM-vs-direct bit-identity tests.
-pub fn conv2d_direct(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec) -> Tensor {
-    let mut out = prepare_forward(input, weight, bias, spec);
-    if out.data().is_empty() {
-        return out;
-    }
-    let (macs, bytes) = spec.forward_work(input.n(), input.h(), input.w());
-    crate::meter::add_work(macs, bytes);
-    conv2d_direct_into(input, weight, bias, spec, &mut out, macs);
-    out
-}
-
-/// Images per lane block: a direct-kernel batch of at least this many
-/// images runs in blocks of this many, one vector lane per image.
-pub const LANES: usize = 8;
-
-/// Direct kernel over a pre-validated, pre-charged output tensor.
-///
-/// A batch of at least [`LANES`] images runs in blocks of [`LANES`], one
-/// lane per image ([`conv_lane_block`]); smaller batches, where one
-/// image would leave most lanes idle, run [`conv_plane`] per (image,
-/// out-channel) plane. Either way the units (blocks or planes) split
-/// across the worker pool in contiguous ranges.
-fn conv2d_direct_into(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &[f32],
-    spec: ConvSpec,
-    out: &mut Tensor,
-    macs: u64,
-) {
     let (h, w) = (input.h(), input.w());
     let n = input.n();
     let oc_n = spec.out_channels;
     let plane_len = out.h() * out.w();
-    if n >= LANES {
-        let image_len = input.c() * h * w;
-        let block_in = LANES * image_len;
-        let block_out = LANES * oc_n * plane_len;
-        let blocks = n.div_ceil(LANES);
-        for_unit_ranges(out.data_mut(), block_out, blocks, macs, |first, out| {
-            // One scratch per worker, reused by each of its blocks.
-            let mut x = vec![0.0f32; block_in];
-            let mut acc = vec![0.0f32; LANES * plane_len];
-            let blocks_in = input.data().chunks(block_in).skip(first);
-            for (block, out) in blocks_in.zip(out.chunks_mut(block_out)) {
-                conv_lane_block(block, h, w, weight, bias, spec, &mut x, &mut acc, out);
-            }
-        });
-    } else {
-        // Each image's channel planes, borrowed once rather than per
-        // output plane.
-        let images: Vec<Vec<&[f32]>> = (0..n).map(|n| image_planes(input, n)).collect();
-        for_unit_ranges(out.data_mut(), plane_len, n * oc_n, macs, |first, out| {
-            for (p, out) in (first..).zip(out.chunks_mut(plane_len)) {
-                conv_plane(&images[p / oc_n], h, w, weight, bias, spec, p % oc_n, out);
-            }
-        });
+    // Each image's channel planes, borrowed once rather than per unit.
+    let images = || -> Vec<Vec<&[f32]>> { (0..n).map(|n| image_planes(input, n)).collect() };
+    match kernel {
+        Kernel::Plane => {
+            let images = images();
+            for_unit_ranges(
+                out.data_mut(),
+                n * oc_n,
+                |_| plane_len,
+                macs,
+                |units, out| {
+                    for (p, out) in units.zip(out.chunks_mut(plane_len)) {
+                        conv_plane(&images[p / oc_n], h, w, weight, bias, spec, p % oc_n, out);
+                    }
+                },
+            );
+        }
+        Kernel::ChannelLanes => {
+            let images = images();
+            let blocks = channel_blocks(oc_n);
+            let wt = lane_weights(weight, &blocks);
+            let nb = blocks.len();
+            let unit_len = |u: usize| blocks[u % nb].len() * plane_len;
+            for_unit_ranges(out.data_mut(), n * nb, unit_len, macs, |units, mut out| {
+                for u in units {
+                    let block = blocks[u % nb].clone();
+                    let (dst, rest) = out.split_at_mut(unit_len(u));
+                    let planes = &images[u / nb];
+                    run_channel_block(planes, h, w, weight, &wt, bias, spec, block, dst);
+                    out = rest;
+                }
+            });
+        }
+        Kernel::ImageLanes => {
+            let image_len = input.c() * h * w;
+            let block_in = LANES * image_len;
+            let block_out = LANES * oc_n * plane_len;
+            let blocks = n.div_ceil(LANES);
+            let unit_len = |b: usize| LANES.min(n - b * LANES) * oc_n * plane_len;
+            for_unit_ranges(out.data_mut(), blocks, unit_len, macs, |units, out| {
+                // One scratch per worker, reused by each of its blocks.
+                let mut x = vec![0.0f32; block_in];
+                let mut acc = vec![0.0f32; LANES * plane_len];
+                let blocks_in = input.data().chunks(block_in).skip(units.start);
+                for (block, out) in blocks_in.zip(out.chunks_mut(block_out)) {
+                    conv_lane_block(block, h, w, weight, bias, spec, &mut x, &mut acc, out);
+                }
+            });
+        }
     }
+    out
 }
 
-/// Run `f(first, chunk)` over `out` cut into `units` consecutive units
-/// of `unit_len` floats each (the last may be shorter), where `chunk`
-/// starts at unit `first`. Large calls from outside the pool run one
+/// Run `f(units, chunk)` over `out` cut into `units` consecutive units,
+/// unit `u` being `unit_len(u)` floats, where `chunk` holds the units of
+/// the range `units`. Large calls from outside the pool run one
 /// contiguous range of units per scoped thread; the rest run serially
 /// as one range. Each unit is written by exactly one thread, so the
 /// output is the same at every worker count.
 fn for_unit_ranges(
     out: &mut [f32],
-    unit_len: usize,
     units: usize,
+    unit_len: impl Fn(usize) -> usize,
     macs: u64,
-    f: impl Fn(usize, &mut [f32]) + Sync,
+    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
     let workers = crate::par::workers().min(units);
     if workers > 1 && !crate::par::in_pool() && macs >= PAR_MIN_MACS {
         let per = units.div_ceil(workers);
         let f = &f;
         std::thread::scope(|s| {
-            for (i, chunk) in out.chunks_mut(per * unit_len).enumerate() {
+            let mut rest = out;
+            for first in (0..units).step_by(per) {
+                let range = first..(first + per).min(units);
+                let (chunk, tail) = rest.split_at_mut(range.clone().map(&unit_len).sum());
+                rest = tail;
                 s.spawn(move || {
                     let _in_pool = crate::par::PoolGuard::new();
-                    f(i * per, chunk);
+                    f(range, chunk);
                 });
             }
         });
     } else {
-        f(0, out);
+        f(0..units, out);
     }
 }
 
@@ -388,7 +449,7 @@ fn conv_lane_block(
 }
 
 /// Image `n` of `input` as borrowed `h x w` channel planes.
-pub(crate) fn image_planes(input: &Tensor, n: usize) -> Vec<&[f32]> {
+fn image_planes(input: &Tensor, n: usize) -> Vec<&[f32]> {
     let hw = input.h() * input.w();
     let base = n * input.c() * hw;
     (0..input.c())
@@ -397,10 +458,10 @@ pub(crate) fn image_planes(input: &Tensor, n: usize) -> Vec<&[f32]> {
 }
 
 /// Forward convolution of one image, given as borrowed `h x w` channel
-/// planes, into `out` (`out_channels` contiguous output planes). Serial
-/// and uncharged: the caller charges the meter. Dispatches like
-/// [`conv2d`], so its bits match `conv2d` on the same image. The fused
-/// head ([`crate::fused`]) runs both of its convs through here.
+/// planes, into `out` (`out_channels` contiguous output planes), in the
+/// output-channel-lane layout `conv2d` runs on small batches. Serial and
+/// uncharged: the caller charges the meter. The fused head
+/// ([`crate::fused`]) runs both of its convs through here.
 pub(crate) fn conv_image(
     planes: &[&[f32]],
     h: usize,
@@ -408,26 +469,223 @@ pub(crate) fn conv_image(
     weight: &Tensor,
     bias: &[f32],
     spec: ConvSpec,
-    out: &mut [f32],
+    mut out: &mut [f32],
 ) {
     let (oh, ow) = spec.out_size(h, w);
-    let plane_len = oh * ow;
-    if gemm::eligible(spec, oh, ow) {
-        let k_len = spec.in_channels * spec.kernel * spec.kernel;
-        let mut col = vec![0.0f32; k_len * plane_len];
-        gemm::im2col_planes(planes, h, w, spec, oh, ow, &mut col);
-        let oc = spec.out_channels;
-        gemm::gemm_rows(weight, bias, &col, k_len, plane_len, 0, oc, out);
-    } else {
-        for (oc, out) in out.chunks_mut(plane_len).enumerate() {
-            conv_plane(planes, h, w, weight, bias, spec, oc, out);
+    let blocks = channel_blocks(spec.out_channels);
+    let wt = lane_weights(weight, &blocks);
+    for block in blocks {
+        let (dst, rest) = out.split_at_mut(block.len() * oh * ow);
+        run_channel_block(planes, h, w, weight, &wt, bias, spec, block, dst);
+        out = rest;
+    }
+}
+
+/// The channel blocks of the output-channel-lane layout: blocks of
+/// [`LANES`] channels, then one of four, then the rest (fewer than four
+/// channels, so every 8→1 conv), which run as planes.
+fn channel_blocks(out_c: usize) -> Vec<Range<usize>> {
+    let mut oc = out_c / LANES * LANES;
+    let mut blocks: Vec<_> = (0..oc).step_by(LANES).map(|c| c..c + LANES).collect();
+    if out_c - oc >= LANES / 2 {
+        blocks.push(oc..oc + LANES / 2);
+        oc += LANES / 2;
+    }
+    if oc < out_c {
+        blocks.push(oc..out_c);
+    }
+    blocks
+}
+
+/// `weight` (`[oc][ic][ky][kx]`) with the channels of each lane block
+/// interleaved as `[ic][ky][kx][lane]`, in the block's own rows. The
+/// rows of the rest block stay as they are, unused.
+fn lane_weights(weight: &Tensor, blocks: &[Range<usize>]) -> Vec<f32> {
+    let mut wt = weight.data().to_vec();
+    let taps = weight.c() * weight.h() * weight.w();
+    for block in blocks.iter().filter(|b| b.len() >= LANES / 2) {
+        let rows = block.start * taps..block.end * taps;
+        let lanes = block.len();
+        for (lane, row) in weight.data()[rows.clone()].chunks_exact(taps).enumerate() {
+            for (t, &v) in wt[rows.clone()][lane..].iter_mut().step_by(lanes).zip(row) {
+                *t = v;
+            }
+        }
+    }
+    wt
+}
+
+/// Output channels `block` of one image into `out`, the block's planes:
+/// a block of [`LANES`] channels with four pixels of accumulators, a
+/// block of four with eight, and the rest on [`conv_plane`]. `wt` is
+/// [`lane_weights`]' output.
+#[allow(clippy::too_many_arguments)]
+fn run_channel_block(
+    planes: &[&[f32]],
+    h: usize,
+    w: usize,
+    weight: &Tensor,
+    wt: &[f32],
+    bias: &[f32],
+    spec: ConvSpec,
+    block: Range<usize>,
+    out: &mut [f32],
+) {
+    let taps = spec.in_channels * spec.kernel * spec.kernel;
+    let wt = &wt[block.start * taps..block.end * taps];
+    match block.len() {
+        LANES => conv_channel_block::<LANES, 4>(planes, h, w, wt, &bias[block], spec, out),
+        4 => conv_channel_block::<4, 8>(planes, h, w, wt, &bias[block], spec, out),
+        lanes => {
+            for (oc, out) in block.zip(out.chunks_mut(out.len() / lanes)) {
+                conv_plane(planes, h, w, weight, bias, spec, oc, out);
+            }
         }
     }
 }
 
+/// `L` output channels of one image into `out` (`L` planes), one vector
+/// lane each, from their taps `wt` as `[ic][ky][kx][lane]`.
+///
+/// At stride 1, the columns whose every tap reads inside the input run
+/// `P` adjacent pixels at a time, on every row, with `L x P` accumulators
+/// kept across the row's in-frame taps. When those columns are not a
+/// multiple of `P`, the last block overlaps the one before it and
+/// writes the same values again. The other columns, rows narrower than
+/// `P` and strided convs run one pixel at a time. Either way each output
+/// gets the bias and then its in-frame taps in ascending `(ic, ky, kx)`
+/// order, each a separate multiply and add: [`conv_plane`]'s ops, bit
+/// for bit.
+fn conv_channel_block<const L: usize, const P: usize>(
+    planes: &[&[f32]],
+    h: usize,
+    w: usize,
+    wt: &[f32],
+    bias: &[f32],
+    spec: ConvSpec,
+    out: &mut [f32],
+) {
+    let (oh, ow) = spec.out_size(h, w);
+    let bias: [f32; L] = bias.try_into().expect("one bias per lane");
+    let plane_len = oh * ow;
+    // The columns whose first and last taps are in frame.
+    let lo = in_frame(0, spec.pad, spec.stride, w, ow).start;
+    let cols = lo..in_frame(spec.kernel - 1, spec.pad, spec.stride, w, ow)
+        .end
+        .max(lo);
+    let (blocked, starts) = if spec.stride == 1 && cols.len() >= P {
+        let last = cols.end - P;
+        let starts: Vec<_> = (cols.start..last).step_by(P).chain([last]).collect();
+        (cols, starts)
+    } else {
+        (0..0, Vec::new())
+    };
+    for oy in 0..oh {
+        let ys = taps_in_frame(oy, spec, h);
+        for &ox in &starts {
+            let acc = pixel_block::<L, P>(planes, w, wt, bias, spec, oy, ox, ys.clone());
+            store(out, plane_len, oy * ow + ox, &acc);
+        }
+        for ox in (0..blocked.start).chain(blocked.end..ow) {
+            let xs = taps_in_frame(ox, spec, w);
+            let acc = pixel::<L>(planes, w, wt, bias, spec, oy, ox, ys.clone(), xs);
+            store(out, plane_len, oy * ow + ox, &acc);
+        }
+    }
+}
+
+/// Write `P` adjacent outputs of each of `L` lanes, at offset `at` of
+/// each lane's plane.
+fn store<const L: usize, const P: usize>(
+    out: &mut [f32],
+    plane_len: usize,
+    at: usize,
+    acc: &[[f32; P]; L],
+) {
+    for (l, acc) in acc.iter().enumerate() {
+        out[l * plane_len + at..][..P].copy_from_slice(acc);
+    }
+}
+
+/// The `P` adjacent outputs from `(oy, ox)` on, at stride 1, in `L`
+/// lanes, where every `kx` tap of all of them reads inside the input:
+/// the bias, then the taps `(ic, ky, kx)` with `ky` in `ys`, in
+/// ascending order, each a separate multiply and add. Each tap's `P`
+/// inputs are one contiguous window of an input row, so the accumulators
+/// run across pixels and every tap adds one weight per lane.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn pixel_block<const L: usize, const P: usize>(
+    planes: &[&[f32]],
+    w: usize,
+    wt: &[f32],
+    bias: [f32; L],
+    spec: ConvSpec,
+    oy: usize,
+    ox: usize,
+    ys: Range<usize>,
+) -> [[f32; P]; L] {
+    let (k, pad) = (spec.kernel, spec.pad);
+    let mut acc = bias.map(|b| [b; P]);
+    for (plane, w_ic) in planes.iter().zip(wt.chunks_exact(k * k * L)) {
+        for ky in ys.clone() {
+            let row = &plane[(oy + ky - pad) * w + ox - pad..][..k + P - 1];
+            let w_row = &w_ic[ky * k * L..][..k * L];
+            for (x, wv) in row.windows(P).zip(w_row.chunks_exact(L)) {
+                for l in 0..L {
+                    for p in 0..P {
+                        acc[l][p] += x[p] * wv[l];
+                    }
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// Output `(oy, ox)` in `L` lanes: the bias, then the taps `(ic, ky, kx)`
+/// with `ky` in `ys` and `kx` in `xs` — the ones that read inside the
+/// input — in ascending order, each a separate multiply and add.
+#[allow(clippy::too_many_arguments)]
+fn pixel<const L: usize>(
+    planes: &[&[f32]],
+    w: usize,
+    wt: &[f32],
+    bias: [f32; L],
+    spec: ConvSpec,
+    oy: usize,
+    ox: usize,
+    ys: Range<usize>,
+    xs: Range<usize>,
+) -> [[f32; 1]; L] {
+    let (k, stride, pad) = (spec.kernel, spec.stride, spec.pad);
+    let mut acc = bias;
+    for (plane, w_ic) in planes.iter().zip(wt.chunks_exact(k * k * L)) {
+        for ky in ys.clone() {
+            let row = &plane[(oy * stride + ky - pad) * w..];
+            for kx in xs.clone() {
+                let x = row[ox * stride + kx - pad];
+                let wv = &w_ic[(ky * k + kx) * L..][..L];
+                for (a, &wl) in acc.iter_mut().zip(wv) {
+                    *a += x * wl;
+                }
+            }
+        }
+    }
+    acc.map(|a| [a])
+}
+
+/// The taps `t < k` along one axis that output `o` reads inside the
+/// input, i.e. `0 <= o * stride + t - pad < len`.
+fn taps_in_frame(o: usize, spec: ConvSpec, len: usize) -> Range<usize> {
+    let at = o * spec.stride;
+    let lo = spec.pad.saturating_sub(at);
+    lo..(len + spec.pad).saturating_sub(at).min(spec.kernel).max(lo)
+}
+
 /// Compute output channel `oc` of one image, given as its borrowed
-/// `h x w` input channel planes, into `out`. Runs batches of fewer than
-/// [`LANES`] images and [`conv_image`].
+/// `h x w` input channel planes, into `out`: the plane layout, and the
+/// channels the output-channel-lane layout leaves after its blocks.
 ///
 /// Streamed by tap: the plane is filled with the bias, then every tap,
 /// in ascending `(ic, ky, kx)` order, adds `x * w` along each output row
@@ -436,7 +694,7 @@ pub(crate) fn conv_image(
 /// are skipped, so border and interior outputs take the same loop. Each
 /// output still receives the bias and then its in-range taps in
 /// `(ic, ky, kx)` order, each as a separate multiply and add (the order
-/// the GEMM path keeps too), and with no per-pixel accumulation chain
+/// every layout keeps), and with no per-pixel accumulation chain
 /// the inner loop runs across pixels and vectorizes. Tap-major order
 /// beats row-major on the batcher's 8×16 planes, where a row is only
 /// four vectors long.

@@ -8,15 +8,15 @@
 //! layer input (training bookkeeping the inference path never uses),
 //! and each layer's output. [`head_forward`] takes the input as borrowed
 //! channel planes — no concat — runs both convs through `conv.rs`'s
-//! per-image entry (the same GEMM/direct kernels `conv2d` dispatches
-//! to), and writes the shuffled output directly. It has no kernel of
-//! its own.
+//! per-image entry (the output-channel-lane layout `conv2d` runs on
+//! single images), and writes the shuffled output directly. It has no
+//! kernel of its own and runs on the calling thread.
 //!
 //! # Bit-identity contract
 //!
 //! The staged pipeline (`concat_channels` → `Sequential::forward`) and
 //! this fused pass produce identical bits: the convs are `conv2d`'s
-//! kernels with their ordered accumulation, ReLU is the same
+//! kernel with its ordered accumulation, ReLU is the same
 //! `max(0.0)` applied after each element's full sum, and PixelShuffle
 //! is a pure permutation. The property suite pins this over a seeded
 //! grid.
@@ -142,7 +142,8 @@ mod tests {
             (3, 8, 4, 12, 20),
             (4, 8, 1, 9, 15),
             (3, 6, 2, 16, 16),
-            // K = 18 < 24 and a 45-pixel plane: both convs run direct.
+            // Three hidden channels, below a lane block, run as planes;
+            // the second conv's four as one block of four lanes.
             (2, 3, 2, 5, 9),
         ] {
             let conv1 = seeded_conv(101, ConvSpec::same(cin, hid, 3));

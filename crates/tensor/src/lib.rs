@@ -10,8 +10,9 @@
 //! * [`Tensor`] — dense NCHW `f32` tensors with shape-checked construction.
 //! * [`conv`] — 2-D convolution with full backpropagation (input, weight,
 //!   and bias gradients), "same" padding, arbitrary stride. Forward passes
-//!   dispatch by shape between a direct kernel and the im2col + blocked
-//!   GEMM path in [`gemm`]; both are bit-identical.
+//!   run one direct kernel in two lane layouts, chosen by shape: output
+//!   channels per vector for single images and large planes, images per
+//!   vector for batches of small planes; both are bit-identical.
 //! * [`fused`] — single-pass `conv → ReLU → conv → PixelShuffle` head
 //!   forward over borrowed channel planes, on [`conv`]'s kernels, that
 //!   skips the intermediate tensor allocations on the SR/recovery hot
@@ -28,19 +29,17 @@
 //!   paper's Table 1 columns.
 //!
 //! Everything is deterministic given a seed; no unsafe. The only
-//! threading is [`conv::conv2d`]'s scoped split of the batch: the
-//! direct kernel hands each worker a contiguous range of image blocks
-//! (eight images, one vector lane each; (image, out-channel) planes
-//! below eight images) and GEMM a range of images or output channels.
-//! Each output is written by one worker, so the result is bit-identical
-//! at every worker count (see [`par`]).
+//! threading is [`conv::conv2d`]'s scoped split of the output: each
+//! worker gets a contiguous range of units — (image, channel block)
+//! pairs, or blocks of eight images, one vector lane each. Each output
+//! is written by one worker, so the result is bit-identical at every
+//! worker count (see [`par`]).
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 
 pub mod conv;
 pub mod flops;
 pub mod fused;
-pub mod gemm;
 pub mod init;
 pub mod loss;
 pub mod meter;

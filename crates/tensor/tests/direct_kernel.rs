@@ -1,28 +1,32 @@
-//! The row-streamed direct kernel against a copy of the per-pixel
+//! Every layout of the direct kernel against a copy of the per-pixel
 //! kernel it replaced, bit for bit.
 //!
 //! `oracle_plane` is the former `conv::conv_plane`: a per-pixel interior
 //! loop over row slices plus a per-tap bounds-checked `edge` closure for
-//! the border. Both it and the kernel under test add, to each output,
-//! the bias and then its in-range taps in ascending `(ic, ky, kx)` order
-//! with no FMA, so their outputs must agree in every bit. The grid walks
-//! kernels 1/3/5, strides 1/2, pads `0`, `k/2` and `k - 1`, 1–4 input
-//! and output channels, batches of 1–5 and planes from 1×1 to 17×33
-//! (including planes narrower or shorter than the kernel). Half of the
-//! cases put ±inf and NaN on the input's border rows and columns: a
-//! kernel that multiplies a padded tap by zero instead of skipping it
-//! turns a finite output into NaN there. NaN compares as NaN; every
-//! other value compares by its bits, so `-0.0` differs from `+0.0`.
+//! the border. It and every layout add, to each output, the bias and
+//! then its in-range taps in ascending `(ic, ky, kx)` order with no FMA,
+//! so their outputs must agree in every bit. The grid walks kernels
+//! 1/3/5, strides 1/2, pads `0`, `k/2` and `k - 1`, 1–4 input and output
+//! channels, batches of 1–5 and planes from 1×1 to 17×33 (including
+//! planes narrower or shorter than the kernel). Half of the cases put
+//! ±inf and NaN on the input's border rows and columns: a kernel that
+//! multiplies a padded tap by zero instead of skipping it turns a finite
+//! output into NaN there. NaN compares as NaN; every other value
+//! compares by its bits, so `-0.0` differs from `+0.0`.
 //!
-//! Batches of 8 or more images run in lane blocks of 8, one vector lane
-//! per image, with the last block padded by idle lanes. The lane suites
-//! walk the same grid and the every-tap-clipped cases at batches 7, 8,
-//! 9, 16 and 17 (below, at, between and above the multiples of 8), and
-//! run two shapes large enough that 4 workers split the blocks between
+//! Each case runs all three layouts and `conv2d`, at 1 and 4 workers.
+//! Output-channel lanes run blocks of 8 channels with 4 pixels in
+//! registers, a block of 4 with 8 pixels, and leave the last `out_c mod
+//! 4` channels to the plane loop; the channel suite walks out_c 1–17 on
+//! planes narrower and shorter than those pixel blocks. Image lanes put
+//! one image per lane in blocks of 8, the last padded by idle lanes; the
+//! lane suites walk the grid and the every-tap-clipped cases at batches
+//! 7, 8, 9, 16 and 17 (below, at, between and above the multiples of 8),
+//! and run shapes large enough that 4 workers split the units between
 //! them.
 
 use nerve_rng::{check_cases, DetRng, Rng};
-use nerve_tensor::conv::{conv2d, conv2d_direct, ConvSpec};
+use nerve_tensor::conv::{conv2d, conv2d_with, ConvSpec, Kernel};
 use nerve_tensor::{par, Tensor};
 use std::sync::Mutex;
 
@@ -150,7 +154,7 @@ fn assert_same(label: &str, got: &[f32], want: &[f32]) {
     }
 }
 
-/// `conv2d_direct` and `conv2d`, each at 1 and 4 workers, against the
+/// Every layout and `conv2d`, each at 1 and 4 workers, against the
 /// oracle.
 fn check_against_oracle(
     label: &str,
@@ -164,9 +168,11 @@ fn check_against_oracle(
     let prev = par::workers();
     for workers in [1, 4] {
         par::set_workers(workers);
-        let direct = conv2d_direct(input, weight, bias, spec);
+        for kernel in [Kernel::Plane, Kernel::ChannelLanes, Kernel::ImageLanes] {
+            let out = conv2d_with(kernel, input, weight, bias, spec);
+            assert_same(&format!("{label} {kernel:?}@{workers}"), out.data(), &want);
+        }
         let dispatched = conv2d(input, weight, bias, spec);
-        assert_same(&format!("{label} direct@{workers}"), direct.data(), &want);
         assert_same(
             &format!("{label} conv2d@{workers}"),
             dispatched.data(),
@@ -211,8 +217,9 @@ fn planes_for(k: usize) -> [(usize, usize); 6] {
 }
 
 /// One seeded case of the grid: a random spec of kernel `k` on an
-/// `h x w` plane, at a batch drawn by `batch`, with ±inf/NaN borders in
-/// half the cases and a `-0.0` first bias in a quarter.
+/// `h x w` plane, with `out_c` output channels, at a batch drawn by
+/// `batch`, with ±inf/NaN borders in half the cases and a `-0.0` first
+/// bias in a quarter.
 #[allow(clippy::too_many_arguments)]
 fn grid_case(
     rng: &mut DetRng,
@@ -222,11 +229,12 @@ fn grid_case(
     pad: usize,
     h: usize,
     w: usize,
+    out_c: impl Fn(&mut DetRng) -> usize,
     batch: impl Fn(&mut DetRng) -> usize,
 ) {
     let spec = ConvSpec {
         in_channels: rng.random_range(1..5usize),
-        out_channels: rng.random_range(1..5usize),
+        out_channels: out_c(rng),
         kernel: k,
         stride,
         pad,
@@ -254,6 +262,11 @@ fn grid_case(
     check_against_oracle(name, &input, &weight, &bias, spec);
 }
 
+/// The grid's output channels: 1–4, one block of four lanes at most.
+fn few_channels(rng: &mut DetRng) -> usize {
+    rng.random_range(1..5usize)
+}
+
 #[test]
 fn direct_kernel_matches_the_per_pixel_oracle_over_the_grid() {
     let mut cases = 0;
@@ -265,7 +278,7 @@ fn direct_kernel_matches_the_per_pixel_oracle_over_the_grid() {
                 for (h, w) in planes_for(k) {
                     let name = format!("k{k} s{stride} p{pad} {h}x{w}");
                     check_cases(&name, 2, |rng| {
-                        grid_case(rng, &name, k, stride, pad, h, w, |rng| {
+                        grid_case(rng, &name, k, stride, pad, h, w, few_channels, |rng| {
                             rng.random_range(1..6usize)
                         })
                     });
@@ -275,6 +288,45 @@ fn direct_kernel_matches_the_per_pixel_oracle_over_the_grid() {
         }
     }
     assert!(cases >= 80, "the grid shrank to {cases} cells");
+}
+
+/// Every out_c from 1 to 17 — blocks of 8 and 4 channels and 1–3 left
+/// over — on the grid's planes plus two around the pixel blocks: 7×5
+/// (every interior row shorter than 4 pixels at k 3) and `6 x (2k + 9)`
+/// (interior rows of `2k + 9 - (k - 1)` pixels at pad `k/2`, a tail past
+/// both the 4- and the 8-pixel blocks), at batches of 1–2.
+#[test]
+fn channel_lanes_match_the_per_pixel_oracle_for_out_c_1_to_17() {
+    let mut cases = 0;
+    for out_c in 1..=17usize {
+        for k in [1usize, 3, 5] {
+            for stride in [1usize, 2] {
+                let mut pads = vec![0, k / 2, k - 1];
+                pads.dedup();
+                for pad in pads {
+                    let planes = planes_for(k).into_iter().chain([(7, 5), (6, 2 * k + 9)]);
+                    for (h, w) in planes {
+                        let name = format!("oc{out_c} k{k} s{stride} p{pad} {h}x{w}");
+                        check_cases(&name, 1, |rng| {
+                            grid_case(
+                                rng,
+                                &name,
+                                k,
+                                stride,
+                                pad,
+                                h,
+                                w,
+                                |_| out_c,
+                                |rng| rng.random_range(1..3usize),
+                            )
+                        });
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases >= 1800, "the channel grid shrank to {cases} cells");
 }
 
 /// Batch sizes around the lane-block width of 8: one short of a block,
@@ -294,7 +346,7 @@ fn lane_blocks_match_the_per_pixel_oracle_over_the_grid() {
                     for n in LANE_BATCHES {
                         let name = format!("n{n} k{k} s{stride} p{pad} {h}x{w}");
                         check_cases(&name, 1, |rng| {
-                            grid_case(rng, &name, k, stride, pad, h, w, |_| n)
+                            grid_case(rng, &name, k, stride, pad, h, w, few_channels, |_| n)
                         });
                         cases += 1;
                     }
@@ -306,9 +358,11 @@ fn lane_blocks_match_the_per_pixel_oracle_over_the_grid() {
 }
 
 /// Shapes whose MACs cross the conv's parallel-split threshold (2^20),
-/// so at 4 workers the lane blocks split across threads, the last one
-/// partial: the batcher's backbone at 121 jobs (16 blocks, one image in
-/// the last) and a 5×5 stride-2 conv on 17×33 planes at 25 images.
+/// so at 4 workers the units split across threads: the batcher's
+/// backbone at 121 jobs (16 image-lane blocks, one image in the last), a
+/// 5×5 stride-2 conv on 17×33 planes at 25 images, and 6 → 13 channels
+/// on two 40×48 images, whose six (image, channel block) units — blocks
+/// of 8, 4 and 1 channels — split two per worker, across an image.
 #[test]
 fn lane_blocks_split_across_workers_match_the_per_pixel_oracle() {
     let backbone = ConvSpec::same(2, 4, 3);
@@ -319,7 +373,12 @@ fn lane_blocks_split_across_workers_match_the_per_pixel_oracle() {
         stride: 2,
         pad: 2,
     };
-    for (n, spec, h, w) in [(121usize, backbone, 8usize, 16usize), (25, strided, 17, 33)] {
+    let blocks = ConvSpec::same(6, 13, 3);
+    for (n, spec, h, w) in [
+        (121usize, backbone, 8usize, 16usize),
+        (25, strided, 17, 33),
+        (2, blocks, 40, 48),
+    ] {
         let name = format!("split n{n} k{} s{}", spec.kernel, spec.stride);
         assert!(
             spec.forward_work(n, h, w).0 >= 1 << 20,
@@ -344,16 +403,15 @@ fn lane_blocks_split_across_workers_match_the_per_pixel_oracle() {
     }
 }
 
-/// With `pad >= k` the outer outputs read no input at all: the kernel
-/// must leave the bias there untouched, `-0.0` included. (Kept to
-/// shapes with `in_channels * k * k` below the GEMM threshold, so
-/// `conv2d` runs the direct kernel too; the GEMM panel adds the padding
-/// as explicit `+0.0` products, see `gemm`'s bit-identity contract.)
+/// With `pad >= k` the outer outputs read no input at all: every layout
+/// must leave the bias there untouched, `-0.0` included. No layout adds
+/// padding as `+0.0` products, so the cases run up to `in_channels * k
+/// * k` of 100 and out_c 17, across every channel block.
 fn every_tap_clipped_case(rng: &mut DetRng, batch: impl Fn(&mut DetRng) -> usize) {
-    let k = [1usize, 3][rng.random_range(0..2usize)];
+    let k = [1usize, 3, 5][rng.random_range(0..3usize)];
     let spec = ConvSpec {
-        in_channels: rng.random_range(1..3usize),
-        out_channels: rng.random_range(1..5usize),
+        in_channels: rng.random_range(1..5usize),
+        out_channels: rng.random_range(1..18usize),
         kernel: k,
         stride: rng.random_range(1..3usize),
         pad: k + rng.random_range(0..2usize),
@@ -373,7 +431,7 @@ fn every_tap_clipped_case(rng: &mut DetRng, batch: impl Fn(&mut DetRng) -> usize
     let bias = vec![-0.0f32; spec.out_channels];
     check_against_oracle("every tap clipped", &input, &weight, &bias, spec);
     // Every image's top-left output window lies wholly in the padding.
-    let out = conv2d_direct(&input, &weight, &bias, spec);
+    let out = conv2d(&input, &weight, &bias, spec);
     for image in out.data().chunks(out.c() * out.h() * out.w()) {
         assert_eq!(image[0].to_bits(), (-0.0f32).to_bits());
     }

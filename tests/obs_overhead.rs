@@ -4,21 +4,37 @@
 //! stopped tensor meter) the hot path performs **no heap allocation at
 //! all**, and pre-bound metric handles never allocate per update.
 //!
-//! This file holds exactly one `#[test]` so no concurrent test in the
-//! same binary can pollute the allocation counter mid-measurement.
+//! Only allocations made on the measuring thread, inside a measured
+//! section, are counted. The sections start no threads, so that is every
+//! allocation they make; the test harness's own threads, which may
+//! allocate at any moment, are left out.
 
 use nerve_obs::{FieldValue, Obs};
 use nerve_tensor::meter;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the measuring thread while a section runs. `const` and
+    /// without a destructor, so reading it never allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count one allocation if this thread is inside a measured section.
+fn count() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -27,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -35,11 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocations performed by `f`, on this thread or any other — the
-/// measured sections are single-threaded, so a nonzero delta is theirs.
+/// Allocations performed by `f` on this thread.
 fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::SeqCst);
+    MEASURING.with(|m| m.set(true));
     f();
+    MEASURING.with(|m| m.set(false));
     ALLOCS.load(Ordering::SeqCst) - before
 }
 

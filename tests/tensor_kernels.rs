@@ -1,15 +1,14 @@
-//! The tensor hot-path contract: every forward kernel — direct,
-//! im2col-plus-blocked-GEMM, and the fused head — produces bit-identical
-//! outputs and identical analytic meter charges, at every worker count.
-//! These are the invariants that let `conv2d` dispatch by shape without
-//! fleet digests or cost traces ever noticing.
+//! The tensor hot-path contract: every forward kernel layout — planes,
+//! output-channel lanes, image lanes — and the fused head produce
+//! bit-identical outputs and identical analytic meter charges, at every
+//! worker count. These are the invariants that let `conv2d` dispatch by
+//! batch size without fleet digests or cost traces ever noticing.
 
 use nerve_serve::{
     run_fleet, FleetConfig, InferenceBatcher, InferenceJob, JobKind, ServerModel, Service,
 };
-use nerve_tensor::conv::{conv2d, conv2d_direct, ConvSpec};
+use nerve_tensor::conv::{conv2d, conv2d_with, ConvSpec, Kernel};
 use nerve_tensor::fused::{head_forward, PlaneSource};
-use nerve_tensor::gemm::conv2d_gemm;
 use nerve_tensor::net::Conv2d;
 use nerve_tensor::{meter, Tensor};
 use std::sync::Mutex;
@@ -49,7 +48,7 @@ fn seeded_conv(seed: u32, spec: ConvSpec) -> Conv2d {
 }
 
 /// Dead-simple per-element reference conv: the semantic ground truth
-/// both production kernels are checked against. Bias first, taps in
+/// every kernel layout is checked against. Bias first, taps in
 /// ascending `(ic, ky, kx)` order — the shared accumulation contract.
 fn conv2d_reference(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec) -> Tensor {
     let [n, in_c, h, w] = input.shape();
@@ -133,7 +132,7 @@ fn shape_grid() -> Vec<(usize, ConvSpec, usize, usize)> {
 }
 
 #[test]
-fn gemm_direct_and_reference_agree_bitwise_over_the_grid() {
+fn channel_lanes_and_reference_agree_bitwise_over_the_grid() {
     let grid = shape_grid();
     assert!(grid.len() > 100, "grid should be dense, got {}", grid.len());
     for (i, &(n, spec, h, w)) in grid.iter().enumerate() {
@@ -157,19 +156,15 @@ fn gemm_direct_and_reference_agree_bitwise_over_the_grid() {
         );
         let bias = fill(seed ^ 0x5555, spec.out_channels);
         let reference = conv2d_reference(&input, &weight, &bias, spec);
-        let direct = conv2d_direct(&input, &weight, &bias, spec);
-        let gemm = conv2d_gemm(&input, &weight, &bias, spec);
+        for kernel in [Kernel::ChannelLanes, Kernel::Plane, Kernel::ImageLanes] {
+            let out = conv2d_with(kernel, &input, &weight, &bias, spec);
+            assert_eq!(
+                reference.data(),
+                out.data(),
+                "{kernel:?} diverged: {spec:?} {n}x{h}x{w}"
+            );
+        }
         let dispatched = conv2d(&input, &weight, &bias, spec);
-        assert_eq!(
-            reference.data(),
-            direct.data(),
-            "direct diverged: {spec:?} {n}x{h}x{w}"
-        );
-        assert_eq!(
-            reference.data(),
-            gemm.data(),
-            "gemm diverged: {spec:?} {n}x{h}x{w}"
-        );
         assert_eq!(
             reference.data(),
             dispatched.data(),
@@ -217,8 +212,8 @@ fn degenerate_specs_report_zero_cost_and_never_panic() {
 #[test]
 fn kernel_outputs_and_meter_are_invariant_across_worker_counts() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // A shape big enough to cross the parallel-split threshold on both
-    // kernels (macs = 32*16*32*64*72 ≈ 75M).
+    // A shape big enough to cross the parallel-split threshold in both
+    // lane layouts (macs = 32*16*32*64*72 ≈ 75M).
     let spec = ConvSpec::same(8, 16, 3);
     let (n, h, w) = (32usize, 32usize, 64usize);
     let input = Tensor::from_vec(n, 8, h, w, fill(0xF00D, n * 8 * h * w));
@@ -230,23 +225,24 @@ fn kernel_outputs_and_meter_are_invariant_across_worker_counts() {
             at_workers(workers, || {
                 meter::start();
                 let out = meter::stage("batch", || conv2d(&input, &conv.weight, &conv.bias, spec));
-                let direct = conv2d_direct(&input, &conv.weight, &conv.bias, spec);
-                (out, direct, meter::stop())
+                let lanes =
+                    conv2d_with(Kernel::ChannelLanes, &input, &conv.weight, &conv.bias, spec);
+                (out, lanes, meter::stop())
             })
         })
         .collect();
-    let (ref out0, ref direct0, ref prof0) = runs[0];
-    assert_eq!(out0.data(), direct0.data(), "dispatch changed the bits");
-    for (workers, (out, direct, prof)) in WORKER_COUNTS.iter().zip(&runs).skip(1) {
+    let (ref out0, ref lanes0, ref prof0) = runs[0];
+    assert_eq!(out0.data(), lanes0.data(), "dispatch changed the bits");
+    for (workers, (out, lanes, prof)) in WORKER_COUNTS.iter().zip(&runs).skip(1) {
         assert_eq!(
             out0.data(),
             out.data(),
             "conv2d diverged at {workers} workers"
         );
         assert_eq!(
-            direct0.data(),
-            direct.data(),
-            "direct diverged at {workers} workers"
+            lanes0.data(),
+            lanes.data(),
+            "channel lanes diverged at {workers} workers"
         );
         assert_eq!(prof0, prof, "meter profile diverged at {workers} workers");
     }
@@ -313,8 +309,8 @@ fn flush_checksums(model: ServerModel, jobs: usize, workers: usize) -> Vec<u32> 
 #[test]
 fn batcher_checksums_are_invariant_across_worker_counts() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // `bench()` at 32 jobs takes GEMM. `small()` at 150 jobs takes the
-    // direct kernel's lane blocks: 150 is not a multiple of 8, and
+    // `bench()` at 32 jobs takes the output-channel lanes. `small()` at
+    // 150 jobs takes the image lanes: 150 is not a multiple of 8, and
     // 150 · 4 · 8·16 · 18 MACs crosses the conv's parallel-split
     // threshold (2^20, from 114 jobs up), so 2 and 4 workers split it.
     for (model, jobs) in [(ServerModel::bench(), 32), (ServerModel::small(), 150)] {
