@@ -32,8 +32,7 @@ pub mod fingerprint;
 
 pub use cache::{CacheOutcome, CacheStats, WeightCache};
 pub use delta::{
-    delta_for, weights_at, DeltaError, ModelWeights, WeightDelta, DELTA_CHANNELS, DELTA_MAGIC,
-    DELTA_VERSION,
+    delta_for, weights_at, DeltaError, ModelWeights, WeightDelta, DELTA_CHANNELS, DELTA_FRAME,
 };
 pub use fingerprint::{Classifier, Fingerprint, HeadId};
 

@@ -3,10 +3,14 @@
 //!
 //! The wire formats in this workspace (codec video packets, FEC shards,
 //! the point-code reliable channel) all frame their payloads with the
-//! IEEE CRC32 computed here. Receivers verify the checksum and demote a
-//! failing payload to an *erasure* — the same shape of damage the FEC
-//! decoder and the PR-1 degradation ladder already recover from — so
-//! corruption never reaches a renderer as garbage pixels.
+//! IEEE CRC32 computed here, and so do the five state formats
+//! (checkpoints, handoff tickets, weight deltas), which seal through
+//! [`crate::bytes::Frame`]: it puts a magic/version header in front of
+//! the same trailer and refuses damage with one typed error. Receivers
+//! verify the checksum and demote a failing payload to an *erasure* —
+//! the same shape of damage the FEC decoder and the PR-1 degradation
+//! ladder already recover from — so corruption never reaches a renderer
+//! as garbage pixels.
 //!
 //! Detection is not absolute: a 32-bit checksum passes a random
 //! corruption with probability 2^-32, and real deployments also see

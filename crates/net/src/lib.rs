@@ -49,7 +49,7 @@ pub mod reliable;
 pub mod rtt;
 pub mod trace;
 
-pub use bytes::{ByteError, ByteReader, ByteWriter};
+pub use bytes::{ByteReader, ByteWriter, Frame, FrameError};
 pub use clock::SimTime;
 pub use error::NetError;
 pub use faults::{Corruption, Direction, Fault, FaultPlan, FaultWindow, FaultyLoss};

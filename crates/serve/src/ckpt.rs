@@ -9,10 +9,10 @@
 //! machines, and the transfer log. Checkpoint and resume run on the
 //! fleet's one driver, so they shard like any other run: each shard
 //! snapshots or restores its own servers, and the frame is the same
-//! bytes at every worker count. The frame is length-checked and
-//! CRC-sealed ([`nerve_net::integrity`]) exactly like a session
-//! ticket, so a truncated or bit-flipped checkpoint is refused rather
-//! than resumed.
+//! bytes at every worker count. It travels in the workspace's one
+//! sealed frame ([`nerve_net::bytes::Frame`]) like a session ticket,
+//! so a truncated or bit-flipped checkpoint is refused rather than
+//! resumed.
 //!
 //! The contract, asserted by `tests/scale_stability.rs` and pinned by
 //! `tests/fleet_digests.rs`: resuming a checkpoint taken anywhere in the
@@ -28,35 +28,16 @@ use crate::{AdmissionState, BatcherStats, TokenBucketState};
 use nerve_core::{BreakerCounters, BreakerSnapshot, BreakerState};
 use nerve_model::cache::WeightCacheState;
 use nerve_model::{CacheStats, HeadId};
-use nerve_net::bytes::{ByteError, ByteReader, ByteWriter};
+use nerve_net::bytes::{ByteReader, ByteWriter, Frame, FrameError};
 use nerve_net::clock::SimTime;
-use nerve_net::integrity::{open, seal};
 
-/// `"NRVF"` — the fleet checkpoint frame tag.
-pub const FLEET_CKPT_MAGIC: u32 = 0x4E52_5646;
-/// Bump on any layout change: a resume across versions must fail
+/// The fleet checkpoint frame: magic `"NRVF"`, version 1. Bump the
+/// version on any layout change: a resume across versions must fail
 /// loudly, never misread state.
-pub const FLEET_CKPT_VERSION: u16 = 1;
-
-/// Why a checkpoint frame was refused. Every corruption maps to a
-/// typed error — decode never panics on foreign bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CkptError {
-    /// Integrity trailer missing or CRC mismatch.
-    BadFrame,
-    BadMagic(u32),
-    BadVersion(u16),
-    /// Body ended before the declared structure did.
-    Truncated,
-    /// A field decoded to an illegal value (unknown enum code).
-    BadValue,
-}
-
-impl From<ByteError> for CkptError {
-    fn from(_: ByteError) -> Self {
-        CkptError::Truncated
-    }
-}
+pub const FLEET_CKPT_FRAME: Frame = Frame {
+    magic: 0x4E52_5646,
+    version: 1,
+};
 
 /// Plain-data snapshot of one whole fleet run at a quiesced instant.
 pub(crate) struct FleetCkpt {
@@ -82,9 +63,7 @@ pub(crate) struct FleetCkpt {
 }
 
 pub(crate) fn encode(fc: &FleetCkpt) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(FLEET_CKPT_MAGIC);
-    w.u16(FLEET_CKPT_VERSION);
+    let mut w = FLEET_CKPT_FRAME.writer();
     w.time(fc.at);
     w.usize(fc.idx);
     w.usize(fc.owner.len());
@@ -118,20 +97,11 @@ pub(crate) fn encode(fc: &FleetCkpt) -> Vec<u8> {
     for sc in &fc.servers {
         write_server(&mut w, sc);
     }
-    seal(&w.into_bytes())
+    w.seal()
 }
 
-pub(crate) fn decode(frame: &[u8]) -> Result<FleetCkpt, CkptError> {
-    let body = open(frame).ok_or(CkptError::BadFrame)?;
-    let mut r = ByteReader::new(body);
-    let magic = r.u32()?;
-    if magic != FLEET_CKPT_MAGIC {
-        return Err(CkptError::BadMagic(magic));
-    }
-    let version = r.u16()?;
-    if version != FLEET_CKPT_VERSION {
-        return Err(CkptError::BadVersion(version));
-    }
+pub(crate) fn decode(frame: &[u8]) -> Result<FleetCkpt, FrameError> {
+    let mut r = FLEET_CKPT_FRAME.open(frame)?;
     let at = r.time()?;
     let idx = r.usize()?;
     let owner = (0..r.usize()?)
@@ -161,9 +131,7 @@ pub(crate) fn decode(frame: &[u8]) -> Result<FleetCkpt, CkptError> {
     for _ in 0..r.usize()? {
         servers.push(read_server(&mut r)?);
     }
-    if r.remaining() != 0 {
-        return Err(CkptError::BadValue);
-    }
+    r.finish()?;
     Ok(FleetCkpt {
         at,
         idx,
@@ -180,6 +148,13 @@ pub(crate) fn decode(frame: &[u8]) -> Result<FleetCkpt, CkptError> {
     })
 }
 
+/// Decode a fleet checkpoint frame and re-encode it, for mutation
+/// fuzzing: every frame the decoder accepts must come back as the same
+/// bytes, and everything else as a typed [`FrameError`].
+pub fn verify_fleet_checkpoint(frame: &[u8]) -> Result<Vec<u8>, FrameError> {
+    decode(frame).map(|fc| encode(&fc))
+}
+
 fn write_health_counters(w: &mut ByteWriter, c: HealthCounters) {
     w.u64(c.suspected);
     w.u64(c.died);
@@ -187,7 +162,7 @@ fn write_health_counters(w: &mut ByteWriter, c: HealthCounters) {
     w.u64(c.recovered);
 }
 
-fn read_health_counters(r: &mut ByteReader) -> Result<HealthCounters, CkptError> {
+fn read_health_counters(r: &mut ByteReader) -> Result<HealthCounters, FrameError> {
     Ok(HealthCounters {
         suspected: r.u64()?,
         died: r.u64()?,
@@ -204,7 +179,7 @@ fn write_breaker_counters(w: &mut ByteWriter, c: BreakerCounters) {
     w.u64(c.fast_shed);
 }
 
-fn read_breaker_counters(r: &mut ByteReader) -> Result<BreakerCounters, CkptError> {
+fn read_breaker_counters(r: &mut ByteReader) -> Result<BreakerCounters, FrameError> {
     Ok(BreakerCounters {
         opened: r.u64()?,
         half_opened: r.u64()?,
@@ -224,7 +199,7 @@ fn write_opt_time(w: &mut ByteWriter, t: Option<SimTime>) {
     }
 }
 
-fn read_opt_time(r: &mut ByteReader) -> Result<Option<SimTime>, CkptError> {
+fn read_opt_time(r: &mut ByteReader) -> Result<Option<SimTime>, FrameError> {
     Ok(if r.bool()? { Some(r.time()?) } else { None })
 }
 
@@ -351,7 +326,7 @@ fn write_server(w: &mut ByteWriter, sc: &ServerCkpt) {
     }
 }
 
-fn read_server(r: &mut ByteReader) -> Result<ServerCkpt, CkptError> {
+fn read_server(r: &mut ByteReader) -> Result<ServerCkpt, FrameError> {
     let now = r.time()?;
     let gen = r.u64()?;
     let events = r.u64()?;
@@ -396,7 +371,7 @@ fn read_server(r: &mut ByteReader) -> Result<ServerCkpt, CkptError> {
             kind: match r.u8()? {
                 0 => JobKind::Recovery,
                 1 => JobKind::Sr,
-                _ => return Err(CkptError::BadValue),
+                v => return Err(FrameError::bad_field("job_kind", v)),
             },
             rung: r.usize()?,
             chain: r.usize()?,
@@ -421,7 +396,7 @@ fn read_server(r: &mut ByteReader) -> Result<ServerCkpt, CkptError> {
                 0 => BreakerState::Closed,
                 1 => BreakerState::Open,
                 2 => BreakerState::HalfOpen,
-                _ => return Err(CkptError::BadValue),
+                v => return Err(FrameError::bad_field("breaker_state", v)),
             },
             streak: r.usize()?,
             opened_at_secs: r.f64()?,
@@ -434,7 +409,8 @@ fn read_server(r: &mut ByteReader) -> Result<ServerCkpt, CkptError> {
     let cache = if r.bool()? {
         let mut entries = Vec::new();
         for _ in 0..r.usize()? {
-            let head = HeadId::from_code(r.u8()?).ok_or(CkptError::BadValue)?;
+            let code = r.u8()?;
+            let head = HeadId::from_code(code).ok_or(FrameError::bad_field("cache_head", code))?;
             entries.push((head, r.u64()?, r.u64()?));
         }
         Some(WeightCacheState {
@@ -476,7 +452,7 @@ fn read_server(r: &mut ByteReader) -> Result<ServerCkpt, CkptError> {
             },
             4 => EventKind::Completion { gen: r.u64()? },
             5 => EventKind::Tick,
-            _ => return Err(CkptError::BadValue),
+            v => return Err(FrameError::bad_field("event_kind", v)),
         };
         queue.push(Event { at, kind });
     }
@@ -511,7 +487,7 @@ fn write_bucket(w: &mut ByteWriter, b: TokenBucketState) {
     w.time(b.last_refill);
 }
 
-fn read_bucket(r: &mut ByteReader) -> Result<TokenBucketState, CkptError> {
+fn read_bucket(r: &mut ByteReader) -> Result<TokenBucketState, FrameError> {
     Ok(TokenBucketState {
         tokens: r.f64()?,
         last_refill: r.time()?,
@@ -576,18 +552,13 @@ mod tests {
         for i in 0..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0x01;
-            assert!(
-                matches!(
-                    decode(&bad),
-                    Err(CkptError::BadFrame
-                        | CkptError::BadMagic(_)
-                        | CkptError::BadVersion(_)
-                        | CkptError::Truncated
-                        | CkptError::BadValue)
-                ),
-                "flip at {i} must be refused"
-            );
+            assert_eq!(decode(&bad).err(), Some(FrameError::Corrupt), "flip at {i}");
         }
-        assert!(matches!(decode(&[]), Err(CkptError::BadFrame)));
+        assert_eq!(decode(&[]).err(), Some(FrameError::Corrupt));
+        // A CRC-valid frame with a byte past the last field.
+        let mut body = nerve_net::integrity::open(&frame).unwrap().to_vec();
+        body.push(0);
+        let resealed = nerve_net::integrity::seal(&body);
+        assert_eq!(decode(&resealed).err(), Some(FrameError::TrailingBytes(1)));
     }
 }

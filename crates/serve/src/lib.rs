@@ -52,7 +52,7 @@ pub use batcher::{
     occupancy_label, BatcherStats, InferenceBatcher, InferenceJob, JobKind, JobOutcome,
     ServerModel, Service, OCCUPANCY_BUCKETS, OCCUPANCY_EDGES, SLACK_EDGES,
 };
-pub use ckpt::{CkptError, FLEET_CKPT_MAGIC, FLEET_CKPT_VERSION};
+pub use ckpt::{verify_fleet_checkpoint, FLEET_CKPT_FRAME};
 pub use event_queue::{Event, EventKind, EventQueue};
 pub use failure::{
     percentile_nearest_rank, plan_transfer, server_up_at, FailoverConfig, FailoverStats,
@@ -64,7 +64,7 @@ pub use fleet::{
     ClientClass, FleetConfig, FleetModelStats, FleetResult, ModelPlaneConfig, ServerRestart,
     ServerSummary, SessionCounters, SessionCrash, SessionModel, SessionSummary,
 };
-pub use handoff::{TicketError, TICKET_MAGIC, TICKET_VERSION};
+pub use handoff::TICKET_FRAME;
 pub use live::{
     FirLimiter, FirLimiterConfig, FirLimiterState, KeyframeEncode, LiveServer, LiveServerConfig,
     LiveServerCounters, LiveServerState,

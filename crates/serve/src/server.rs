@@ -48,7 +48,7 @@ use nerve_abr::mpc::{EnhancementAwareAbr, EnhancementConfig};
 use nerve_abr::qoe::QualityMaps;
 use nerve_abr::{Abr, AbrContext, CappedAbr};
 use nerve_model::cache::{CacheStats, WeightCache, WeightCacheState};
-use nerve_model::delta::{delta_for, weights_at, WeightDelta};
+use nerve_model::delta::{delta_for, weights_at, DeltaError, WeightDelta};
 use nerve_model::fingerprint::{Classifier, Fingerprint, HeadId};
 use nerve_model::{artifact_bytes, specialist_uplift_db};
 use nerve_net::clock::SimTime;
@@ -1059,7 +1059,9 @@ impl<'a> ServerSim<'a> {
                 if let Some(head @ HeadId::Specialist(_)) = HeadId::from_code(m.head) {
                     let frame = delta_for(cfg.seed, head, m.version).to_bytes();
                     let mut w = weights_at(cfg.seed, head, m.version);
-                    let outcome = WeightDelta::from_bytes(&frame).and_then(|d| d.apply(&mut w));
+                    let outcome = WeightDelta::from_bytes(&frame)
+                        .map_err(DeltaError::from)
+                        .and_then(|d| d.apply(&mut w));
                     let ok = outcome.is_ok();
                     if ok {
                         m.version += 1;
