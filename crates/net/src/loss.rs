@@ -6,6 +6,7 @@
 //! GE model is parameterized by target average loss rate and mean burst
 //! length, from which the state transition probabilities follow.
 
+use crate::bytes::FrameError;
 use crate::clock::SimTime;
 use crate::error::NetError;
 use nerve_rng::{Rng, StdRng};
@@ -36,13 +37,26 @@ pub trait LossModel {
 /// fast-forward it. Storing `StdRng`'s four state words instead would
 /// change the checkpoint wire formats that embed this struct. Draw
 /// counts are per-chunk-scale (thousands), so the replay is
-/// microseconds.
+/// microseconds. A state read from a frame may be forged, so restore
+/// refuses a cursor past [`MAX_REPLAY_DRAWS`] instead of replaying it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LossState {
     pub seed: u64,
     pub draws: u64,
     /// Gilbert–Elliott chain state (ignored by Bernoulli).
     pub bad: bool,
+}
+
+/// The longest cursor a restore replays. A restore replays every draw,
+/// so the bound keeps a forged cursor from stalling it; 2^24 packets is
+/// about 20 GB of 1200-byte packets, far beyond any one simulated stream.
+pub const MAX_REPLAY_DRAWS: u64 = 1 << 24;
+
+fn check_replay(draws: u64) -> Result<(), FrameError> {
+    if draws > MAX_REPLAY_DRAWS {
+        return Err(FrameError::bad_field("loss_draws", draws));
+    }
+    Ok(())
 }
 
 /// Independent loss with fixed probability.
@@ -88,7 +102,9 @@ impl Bernoulli {
     }
 
     /// Restore to a captured position: re-seed and replay the draws.
-    pub fn restore(&mut self, state: LossState) {
+    /// Refuses a cursor past [`MAX_REPLAY_DRAWS`].
+    pub fn restore(&mut self, state: LossState) -> Result<(), FrameError> {
+        check_replay(state.draws)?;
         self.seed = state.seed;
         self.rng = StdRng::seed_from_u64(state.seed);
         self.draws = 0;
@@ -96,6 +112,7 @@ impl Bernoulli {
             let _: f64 = self.rng.random_range(0.0..1.0);
             self.draws += 1;
         }
+        Ok(())
     }
 }
 
@@ -200,11 +217,13 @@ impl GilbertElliott {
         }
     }
 
-    /// Restore to a captured position: re-seed, replay the draws, and
-    /// reinstate the chain state. Replaying reproduces the chain state
-    /// too; `state.bad` is asserted against it as a cheap integrity
-    /// check on the checkpoint.
-    pub fn restore(&mut self, state: LossState) {
+    /// Restore to a captured position: re-seed and replay the draws.
+    /// Replaying reproduces the chain state too, so a `state.bad` that
+    /// disagrees with it is refused (`loss_bad`), as is a cursor past
+    /// [`MAX_REPLAY_DRAWS`] (`loss_draws`). A refused model must be
+    /// discarded.
+    pub fn restore(&mut self, state: LossState) -> Result<(), FrameError> {
+        check_replay(state.draws)?;
         self.seed = state.seed;
         self.rng = StdRng::seed_from_u64(state.seed);
         self.bad = false;
@@ -212,8 +231,10 @@ impl GilbertElliott {
         for _ in 0..state.draws {
             self.step();
         }
-        debug_assert_eq!(self.bad, state.bad, "replayed GE chain diverged");
-        self.bad = state.bad;
+        if self.bad != state.bad {
+            return Err(FrameError::bad_field("loss_bad", state.bad));
+        }
+        Ok(())
     }
 
     fn step(&mut self) -> bool {
@@ -432,7 +453,7 @@ mod tests {
 
         // A fresh model restored from the snapshot continues identically.
         let mut resumed = GilbertElliott::with_rate(0.1, 4.0, 0);
-        resumed.restore(snap);
+        resumed.restore(snap).unwrap();
         assert_eq!(resumed.state(), snap);
         for _ in 0..500 {
             assert_eq!(live.lose(), resumed.lose());
@@ -443,10 +464,48 @@ mod tests {
             b_live.lose();
         }
         let mut b_resumed = Bernoulli::new(0.2, 1);
-        b_resumed.restore(b_live.state());
+        b_resumed.restore(b_live.state()).unwrap();
         for _ in 0..500 {
             assert_eq!(b_live.lose(), b_resumed.lose());
         }
+    }
+
+    #[test]
+    fn restore_refuses_a_forged_cursor() {
+        let mut live = GilbertElliott::with_rate(0.1, 4.0, 123);
+        for _ in 0..777 {
+            live.lose();
+        }
+        let snap = live.state();
+        let mut ge = GilbertElliott::with_rate(0.1, 4.0, 0);
+        let flipped = LossState {
+            bad: !snap.bad,
+            ..snap
+        };
+        assert_eq!(
+            ge.restore(flipped),
+            Err(FrameError::bad_field("loss_bad", flipped.bad))
+        );
+        let long = LossState {
+            draws: MAX_REPLAY_DRAWS + 1,
+            ..snap
+        };
+        assert_eq!(
+            ge.restore(long),
+            Err(FrameError::bad_field("loss_draws", long.draws))
+        );
+        assert_eq!(
+            Bernoulli::new(0.2, 1).restore(long),
+            Err(FrameError::bad_field("loss_draws", long.draws))
+        );
+        // At the bound the cursor is replayed, not refused.
+        let mut b = Bernoulli::new(0.2, 1);
+        let at = LossState {
+            draws: MAX_REPLAY_DRAWS,
+            ..snap
+        };
+        assert_eq!(b.restore(at), Ok(()));
+        assert_eq!(b.state().draws, MAX_REPLAY_DRAWS);
     }
 
     #[test]

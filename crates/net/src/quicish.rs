@@ -431,7 +431,7 @@ mod tests {
 
         let mut resumed = QuicStream::new(flat_link(10.0, 40), Bernoulli::new(0.2, 1));
         resumed.restore_state(&snap);
-        resumed.loss_mut().restore(loss_snap);
+        resumed.loss_mut().restore(loss_snap).unwrap();
         assert_eq!(resumed.state(), snap);
         for i in 0..500u64 {
             let t = SimTime::from_millis(700 + i);

@@ -544,7 +544,7 @@ mod tests {
 
         let mut resumed = ReliableChannel::new(flat_link(10.0, 20), Bernoulli::new(0.3, 1));
         resumed.restore_state(&snap);
-        resumed.loss_mut().restore(loss_snap);
+        resumed.loss_mut().restore(loss_snap).unwrap();
         assert_eq!(resumed.state(), snap);
 
         // Identical behavior from here on.

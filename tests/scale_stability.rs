@@ -288,7 +288,7 @@ fn live_fleet_32_fir_storm_is_jobs_invariant_and_resumable() {
     let bytes = pre.checkpoint().to_bytes();
     drop(pre);
     let ckpt = LiveCheckpoint::from_bytes(&bytes).expect("checkpoint decodes");
-    let mut resumed = LiveFleetRunner::resume(cfg, &ckpt);
+    let mut resumed = LiveFleetRunner::resume(cfg, &ckpt).expect("checkpoint resumes");
     resumed.run(None);
     assert_eq!(
         resumed.finish().digest(),

@@ -118,7 +118,7 @@ fn session_trace_is_byte_identical_across_kill_and_resume() {
     // Resume in a "fresh process" with a fresh recorder.
     let cp = SessionCheckpoint::from_bytes(&bytes).expect("own checkpoint must parse");
     let mut post = Obs::trace();
-    let mut resumed = SessionRunner::resume(cfg, &cp);
+    let mut resumed = SessionRunner::resume(cfg, &cp).expect("own checkpoint must resume");
     while !resumed.is_done() {
         resumed.step_obs(Some(&mut post));
     }
@@ -205,7 +205,7 @@ fn delta_session_trace_is_byte_identical_across_kill_and_resume() {
         "the cut must land inside an in-flight frame transfer"
     );
     let mut post = Obs::trace();
-    let mut resumed = SessionRunner::resume(cfg, &cp);
+    let mut resumed = SessionRunner::resume(cfg, &cp).expect("own checkpoint must resume");
     while !resumed.is_done() {
         resumed.step_obs(Some(&mut post));
     }
@@ -287,7 +287,7 @@ fn live_trace_is_byte_identical_across_kill_and_resume() {
 
     let cp = LiveCheckpoint::from_bytes(&bytes).expect("own checkpoint must parse");
     let mut post = Obs::trace();
-    let mut resumed = LiveFleetRunner::resume(cfg, &cp);
+    let mut resumed = LiveFleetRunner::resume(cfg, &cp).expect("own checkpoint must resume");
     while !resumed.is_done() {
         resumed.step(Some(&mut post));
     }
