@@ -6,9 +6,9 @@
 //! dispatch) dominates and the worker pool starves on tiny kernels. The
 //! batcher coalesces every session's pending SR/recovery head into **one
 //! stacked `conv2d` call** (one `[jobs, c, h, w]` batch tensor), which
-//! [`nerve_tensor::conv::conv2d`] runs eight jobs per vector on small
-//! planes, or eight output channels per vector on large ones, and can
-//! split across the [`nerve_tensor::par`] pool.
+//! [`nerve_tensor::conv::conv2d`] runs one job at a time with output
+//! channels in the vector lanes, and can split across the
+//! [`nerve_tensor::par`] pool.
 //!
 //! Scheduling is earliest-deadline-first over *playout* deadlines, with
 //! the PR-1 degradation ladder as the shed path: a job whose remaining
@@ -118,9 +118,7 @@ impl ServerModel {
     }
 
     /// A backbone sized so batched calls cross the conv parallelization
-    /// threshold — what the fleet bench exercises. Its 32×64 planes are
-    /// too large for the image lanes, so `conv2d` runs it in
-    /// output-channel lanes at any batch size (`nerve-tensor-bench`'s
+    /// threshold — what the fleet bench exercises (`nerve-tensor-bench`'s
     /// `batch32` row).
     pub fn bench() -> Self {
         Self {
@@ -524,13 +522,12 @@ impl InferenceBatcher {
         }
 
         // One stacked forward pass for every full-served job. `conv2d`
-        // dispatches by shape — `small()`'s 8×16 backbone runs eight jobs
-        // per vector from 8 jobs up, while `bench()`'s 32×64 planes run
-        // eight output channels per vector — without the bits or the
-        // meter charge (analytic, pre-dispatch) changing. A sharded fleet's workers
-        // run the call inline, under `PoolGuard`; only the one inline
-        // shard of a one-server or traced fleet lets `conv2d` split it
-        // across the worker pool.
+        // runs it one job at a time, output channels in the vector lanes
+        // (a block of four for `small()`, two of eight for `bench()`),
+        // and charges the meter analytically before any worker split. A
+        // sharded fleet's workers run the call inline, under `PoolGuard`;
+        // only the one inline shard of a one-server or traced fleet lets
+        // `conv2d` split it across the worker pool.
         if !batch_members.is_empty() {
             // Each job's input is drawn straight into its slot of the
             // stacked batch.

@@ -189,6 +189,38 @@ fn read_breaker_counters(r: &mut ByteReader) -> Result<BreakerCounters, FrameErr
     })
 }
 
+/// A breaker's position as it sits in every state frame that carries
+/// one (NRVF's servers, NRVL's live server): state tag, streak,
+/// opened-at, probes issued, then its counters.
+pub fn write_breaker(w: &mut ByteWriter, s: &BreakerSnapshot) {
+    w.u8(match s.state {
+        BreakerState::Closed => 0,
+        BreakerState::Open => 1,
+        BreakerState::HalfOpen => 2,
+    });
+    w.usize(s.streak);
+    w.f64(s.opened_at_secs);
+    w.usize(s.probes_issued);
+    write_breaker_counters(w, s.counters);
+}
+
+/// Read a breaker written by [`write_breaker`]; an unknown state tag is
+/// `BadField { field: "breaker_state" }`.
+pub fn read_breaker(r: &mut ByteReader) -> Result<BreakerSnapshot, FrameError> {
+    Ok(BreakerSnapshot {
+        state: match r.u8()? {
+            0 => BreakerState::Closed,
+            1 => BreakerState::Open,
+            2 => BreakerState::HalfOpen,
+            v => return Err(FrameError::bad_field("breaker_state", v)),
+        },
+        streak: r.usize()?,
+        opened_at_secs: r.f64()?,
+        probes_issued: r.usize()?,
+        counters: read_breaker_counters(r)?,
+    })
+}
+
 fn write_opt_time(w: &mut ByteWriter, t: Option<SimTime>) {
     match t {
         None => w.bool(false),
@@ -257,19 +289,11 @@ fn write_server(w: &mut ByteWriter, sc: &ServerCkpt) {
         w.usize(o);
     }
     write_breaker_counters(w, b.breaker);
-    match sc.breaker {
+    match &sc.breaker {
         None => w.bool(false),
         Some(s) => {
             w.bool(true);
-            w.u8(match s.state {
-                BreakerState::Closed => 0,
-                BreakerState::Open => 1,
-                BreakerState::HalfOpen => 2,
-            });
-            w.usize(s.streak);
-            w.f64(s.opened_at_secs);
-            w.usize(s.probes_issued);
-            write_breaker_counters(w, s.counters);
+            write_breaker(w, s);
         }
     }
     match &sc.cache {
@@ -391,18 +415,7 @@ fn read_server(r: &mut ByteReader) -> Result<ServerCkpt, FrameError> {
     }
     batcher_stats.breaker = read_breaker_counters(r)?;
     let breaker = if r.bool()? {
-        Some(BreakerSnapshot {
-            state: match r.u8()? {
-                0 => BreakerState::Closed,
-                1 => BreakerState::Open,
-                2 => BreakerState::HalfOpen,
-                v => return Err(FrameError::bad_field("breaker_state", v)),
-            },
-            streak: r.usize()?,
-            opened_at_secs: r.f64()?,
-            probes_issued: r.usize()?,
-            counters: read_breaker_counters(r)?,
-        })
+        Some(read_breaker(r)?)
     } else {
         None
     };

@@ -64,10 +64,7 @@ pub(crate) fn encode_session(id: usize, s: &SessionState) -> Vec<u8> {
     w.f64(s.buffer_secs);
     w.time(s.buffer_asof);
     w.usize(s.chunk_idx);
-    let loss = s.loss.state();
-    w.u64(loss.seed);
-    w.u64(loss.draws);
-    w.bool(loss.bad);
+    s.loss.state().write(&mut w);
     w.usize(s.chain);
     w.usize(s.rung_sum);
     w.usize(s.counters.jobs);
@@ -149,11 +146,7 @@ pub(crate) fn decode_session(
     let buffer_secs = r.f64()?;
     let buffer_asof = r.time()?;
     let chunk_idx = r.usize()?;
-    let loss_state = LossState {
-        seed: r.u64()?,
-        draws: r.u64()?,
-        bad: r.bool()?,
-    };
+    let loss_state = LossState::read(&mut r)?;
     let chain = r.usize()?;
     let rung_sum = r.usize()?;
     let counters = SessionCounters {

@@ -104,10 +104,10 @@ impl SessionCheckpoint {
             w.f64(v);
         }
         write_quic(&mut w, &self.media);
-        write_loss(&mut w, &self.media_loss);
+        self.media_loss.write(&mut w);
         w.u64(self.media_fault_packets);
         write_channel(&mut w, &self.code);
-        write_loss(&mut w, &self.code_loss);
+        self.code_loss.write(&mut w);
         w.u64(self.code_fault_packets);
         for &d in &self.degradation {
             w.u64(d);
@@ -163,10 +163,10 @@ impl SessionCheckpoint {
         let n = r.usize()?;
         let loss_rates = read_vec_f64(&mut r, n)?;
         let media = read_quic(&mut r)?;
-        let media_loss = read_loss(&mut r)?;
+        let media_loss = LossState::read(&mut r)?;
         let media_fault_packets = r.u64()?;
         let code = read_channel(&mut r)?;
-        let code_loss = read_loss(&mut r)?;
+        let code_loss = LossState::read(&mut r)?;
         let code_fault_packets = r.u64()?;
         let mut degradation = [0u64; 4];
         for d in &mut degradation {
@@ -240,20 +240,6 @@ fn read_vec_f64(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<f64>, FrameError
         out.push(r.f64()?);
     }
     Ok(out)
-}
-
-fn write_loss(w: &mut ByteWriter, s: &LossState) {
-    w.u64(s.seed);
-    w.u64(s.draws);
-    w.bool(s.bad);
-}
-
-fn read_loss(r: &mut ByteReader<'_>) -> Result<LossState, FrameError> {
-    Ok(LossState {
-        seed: r.u64()?,
-        draws: r.u64()?,
-        bad: r.bool()?,
-    })
 }
 
 fn write_stream_stats(w: &mut ByteWriter, s: &StreamStats) {

@@ -106,7 +106,7 @@ pub fn fig02_fec_qoe(budget: &ExperimentBudget, maps: &QualityMaps) -> Figure {
                     let mut cfg = SessionConfig::new(trace, maps.clone(), scheme);
                     cfg.chunks = budget.chunks_per_trace;
                     cfg.seed = budget.seed + t as u64;
-                    total += StreamingSession::new(cfg).run().qoe;
+                    total += StreamingSession::new(cfg).run(None).qoe;
                 }
                 series.push(ratio, total / budget.traces_per_network as f64);
             }

@@ -27,7 +27,7 @@ fn run_unit(
     let mut cfg = SessionConfig::new(trace, maps.clone(), scheme.clone());
     cfg.chunks = budget.chunks_per_trace;
     cfg.seed = budget.seed + t as u64;
-    let r: SessionResult = StreamingSession::new(cfg).run();
+    let r: SessionResult = StreamingSession::new(cfg).run(None);
     (r.qoe, r.recovered_fraction, r.recovered_frame_qoe)
 }
 
@@ -187,7 +187,7 @@ pub fn fig14_5g_timeseries(budget: &ExperimentBudget, maps: &QualityMaps) -> Fig
         let mut cfg = SessionConfig::new(trace.clone(), maps.clone(), scheme.clone());
         cfg.chunks = budget.chunks_per_trace;
         cfg.seed = budget.seed;
-        StreamingSession::new(cfg).run()
+        StreamingSession::new(cfg).run(None)
     });
     for ((name, _), result) in schemes.iter().zip(results.iter()) {
         let mut s = Series::new(*name);

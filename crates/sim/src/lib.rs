@@ -33,6 +33,6 @@ pub mod session;
 pub mod sweep;
 
 pub use live::{
-    fir_storm_config, run_live_fleet, run_live_fleet_obs, run_live_matrix, scenario_config,
-    LiveCheckpoint, LiveFleetConfig, LiveFleetResult, LiveFleetRunner, LiveScenario,
+    fir_storm_config, run_live_fleet, run_live_matrix, scenario_config, LiveCheckpoint,
+    LiveFleetConfig, LiveFleetResult, LiveFleetRunner, LiveScenario,
 };

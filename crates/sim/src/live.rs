@@ -32,8 +32,8 @@
 //! "NRVL") so a mid-storm kill resumes to a byte-identical digest.
 
 use nerve_core::{
-    choose_repair, BreakerCounters, BreakerSnapshot, BreakerState, DegradationLadder,
-    DegradationRung, LivePolicy, LivePolicyConfig, RepairAction, RepairContext, RepairCosts,
+    choose_repair, BreakerCounters, DegradationLadder, DegradationRung, LivePolicy,
+    LivePolicyConfig, RepairAction, RepairContext, RepairCosts,
 };
 use nerve_net::bytes::{Frame, FrameError};
 use nerve_net::clock::SimTime;
@@ -44,6 +44,7 @@ use nerve_net::loss::{GilbertElliott, LossModel, LossState};
 use nerve_net::Direction;
 use nerve_obs::{FieldValue, Obs};
 use nerve_rng::{DetRng, Rng};
+use nerve_serve::ckpt::{read_breaker, write_breaker};
 use nerve_serve::{LiveServer, LiveServerConfig, LiveServerCounters, LiveServerState};
 use nerve_video::rng::{seed_for, StreamComponent};
 use std::fmt::Write as _;
@@ -289,9 +290,7 @@ impl LiveCheckpoint {
             w.u64(s.feedback_stats.fir_sent);
             w.u64(s.feedback_stats.lost);
             w.u64(s.feedback_stats.delivered);
-            w.u64(s.loss.seed);
-            w.u64(s.loss.draws);
-            w.bool(s.loss.bad);
+            s.loss.write(&mut w);
             w.u32(s.conceal_chain);
             w.bool(s.desynced);
             w.u32(s.nack_fail_streak);
@@ -320,24 +319,7 @@ impl LiveCheckpoint {
         w.u64(srv.limiter.requested);
         w.u64(srv.limiter.granted);
         w.u64(srv.limiter.ratelimited);
-        let b = &srv.breaker;
-        w.u8(match b.state {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        });
-        w.usize(b.streak);
-        w.f64(b.opened_at_secs);
-        w.usize(b.probes_issued);
-        for v in [
-            b.counters.opened,
-            b.counters.half_opened,
-            b.counters.closed,
-            b.counters.watchdog_trips,
-            b.counters.fast_shed,
-        ] {
-            w.u64(v);
-        }
+        write_breaker(&mut w, &srv.breaker);
         for v in [
             srv.counters.nack_served,
             srv.counters.nack_shed,
@@ -369,11 +351,7 @@ impl LiveCheckpoint {
                 lost: r.u64()?,
                 delivered: r.u64()?,
             };
-            let loss = LossState {
-                seed: r.u64()?,
-                draws: r.u64()?,
-                bad: r.bool()?,
-            };
+            let loss = LossState::read(&mut r)?;
             let conceal_chain = r.u32()?;
             let desynced = r.bool()?;
             let nack_fail_streak = r.u32()?;
@@ -419,25 +397,7 @@ impl LiveCheckpoint {
             granted: r.u64()?,
             ratelimited: r.u64()?,
         };
-        let state = match r.u8()? {
-            0 => BreakerState::Closed,
-            1 => BreakerState::Open,
-            2 => BreakerState::HalfOpen,
-            v => return Err(FrameError::bad_field("breaker_state", v)),
-        };
-        let breaker = BreakerSnapshot {
-            state,
-            streak: r.usize()?,
-            opened_at_secs: r.f64()?,
-            probes_issued: r.usize()?,
-            counters: BreakerCounters {
-                opened: r.u64()?,
-                half_opened: r.u64()?,
-                closed: r.u64()?,
-                watchdog_trips: r.u64()?,
-                fast_shed: r.u64()?,
-            },
-        };
+        let breaker = read_breaker(&mut r)?;
         let counters = LiveServerCounters {
             nack_served: r.u64()?,
             nack_shed: r.u64()?,
@@ -801,18 +761,13 @@ fn degrade(sess: &mut LiveSession, cfg: &LiveFleetConfig, budget_secs: f64, lost
     }
 }
 
-/// Run one live fleet without observability.
-pub fn run_live_fleet(cfg: &LiveFleetConfig) -> LiveFleetResult {
-    run_live_fleet_obs(cfg, None)
-}
-
 /// Run one live fleet, optionally tracing. Attaching the plane never
 /// changes the result (passivity); at the end the live counters are
 /// exported into the obs registry:
 /// `nack.sent / nack.served / nack.expired`,
 /// `fir.requested / fir.granted / fir.ratelimited`, and the
 /// `jitter.playout_delay` gauge (fleet mean, seconds).
-pub fn run_live_fleet_obs(cfg: &LiveFleetConfig, mut obs: Option<&mut Obs>) -> LiveFleetResult {
+pub fn run_live_fleet(cfg: &LiveFleetConfig, mut obs: Option<&mut Obs>) -> LiveFleetResult {
     let mut runner = LiveFleetRunner::new(cfg.clone());
     runner.run(obs.as_deref_mut());
     let result = runner.finish();
@@ -979,7 +934,7 @@ pub fn run_live_matrix(sessions: usize, ticks: u64, seed: u64) -> Vec<LiveCell> 
         .collect();
     crate::sweep::map(&cells, |_, &(sc, policy)| {
         let cfg = scenario_config(sc, policy, sessions, ticks, seed);
-        let result = run_live_fleet(&cfg);
+        let result = run_live_fleet(&cfg, None);
         LiveCell {
             scenario: sc,
             policy,
@@ -1040,7 +995,10 @@ pub fn live_report(sessions: usize, ticks: u64, seed: u64) -> String {
             rate
         );
     }
-    let storm = run_live_fleet(&fir_storm_config(LivePolicy::Budget, sessions, ticks, seed));
+    let storm = run_live_fleet(
+        &fir_storm_config(LivePolicy::Budget, sessions, ticks, seed),
+        None,
+    );
     let _ = writeln!(
         out,
         "# fir-storm: sessions={} hit_rate={:.4} fir={}/{}/{} digest_crc={:08x}",
@@ -1064,7 +1022,7 @@ pub fn live_trace(sessions: usize, ticks: u64, seed: u64) -> String {
     let traced = crate::sweep::map(&deduped, |_, &n| {
         let cfg = fir_storm_config(LivePolicy::Budget, n, ticks, seed);
         let mut obs = Obs::trace();
-        let result = run_live_fleet_obs(&cfg, Some(&mut obs));
+        let result = run_live_fleet(&cfg, Some(&mut obs));
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -1090,7 +1048,7 @@ mod tests {
 
     #[test]
     fn every_frame_is_accounted() {
-        let r = run_live_fleet(&small_cfg(LivePolicy::Budget));
+        let r = run_live_fleet(&small_cfg(LivePolicy::Budget), None);
         for s in &r.sessions {
             assert_eq!(
                 s.counters.frames_accounted(),
@@ -1109,16 +1067,16 @@ mod tests {
 
     #[test]
     fn run_is_deterministic() {
-        let a = run_live_fleet(&small_cfg(LivePolicy::Budget));
-        let b = run_live_fleet(&small_cfg(LivePolicy::Budget));
+        let a = run_live_fleet(&small_cfg(LivePolicy::Budget), None);
+        let b = run_live_fleet(&small_cfg(LivePolicy::Budget), None);
         assert_eq!(a.digest(), b.digest());
     }
 
     #[test]
     fn obs_is_passive() {
-        let plain = run_live_fleet(&small_cfg(LivePolicy::Budget));
+        let plain = run_live_fleet(&small_cfg(LivePolicy::Budget), None);
         let mut obs = Obs::trace();
-        let traced = run_live_fleet_obs(&small_cfg(LivePolicy::Budget), Some(&mut obs));
+        let traced = run_live_fleet(&small_cfg(LivePolicy::Budget), Some(&mut obs));
         assert_eq!(plain.digest(), traced.digest());
     }
 
@@ -1221,7 +1179,7 @@ mod tests {
 
     #[test]
     fn storm_actually_storms() {
-        let r = run_live_fleet(&fir_storm_config(LivePolicy::Budget, 16, 200, 42));
+        let r = run_live_fleet(&fir_storm_config(LivePolicy::Budget, 16, 200, 42), None);
         assert!(r.fir.0 > 0, "no FIR requests reached the server");
         assert!(r.fir.2 > 0, "the limiter never engaged: not a storm");
         assert!(

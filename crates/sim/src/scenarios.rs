@@ -116,15 +116,20 @@ impl ChaosScenario {
 ///
 /// Uses the same downscaled-trace setup as the session tests so a
 /// faultless `Clean` run matches their regime, and seeds the fault plan
-/// independently of the loss processes.
+/// independently of the loss processes. With an observability plane
+/// attached, chunk spans and reconnect events go to the recorder and the
+/// session's metrics land in `obs.registry` — counters accumulate, so
+/// several runs can share one plane. Purely passive: the result is
+/// bit-identical with or without it.
 pub fn run_chaos(
     scenario: ChaosScenario,
     kind: NetworkKind,
     scheme: Scheme,
     seed: u64,
     chunks: usize,
+    obs: Option<&mut Obs>,
 ) -> SessionResult {
-    StreamingSession::new(chaos_config(scenario, kind, scheme, seed, chunks)).run()
+    StreamingSession::new(chaos_config(scenario, kind, scheme, seed, chunks)).run(obs)
 }
 
 /// The session configuration [`run_chaos`] builds: the same
@@ -146,21 +151,6 @@ pub fn chaos_config(
     cfg
 }
 
-/// [`run_chaos`] with an observability plane attached: chunk spans and
-/// reconnect events go to the recorder and the session's metrics land in
-/// `obs.registry` — counters accumulate, so several runs can share one
-/// plane. Purely passive: the result is bit-identical to [`run_chaos`].
-pub fn run_chaos_obs(
-    scenario: ChaosScenario,
-    kind: NetworkKind,
-    scheme: Scheme,
-    seed: u64,
-    chunks: usize,
-    obs: &mut Obs,
-) -> SessionResult {
-    StreamingSession::new(chaos_config(scenario, kind, scheme, seed, chunks)).run_obs(obs)
-}
-
 /// [`run_chaos`] with the crash plane armed: outages past the policy's
 /// blackout threshold tear the session down and resume it from a
 /// serialized checkpoint instead of merely starving the link.
@@ -174,7 +164,7 @@ pub fn run_chaos_with_reconnect(
 ) -> SessionResult {
     let mut cfg = chaos_config(scenario, kind, scheme, seed, chunks);
     cfg.reconnect = Some(policy);
-    StreamingSession::new(cfg).run()
+    StreamingSession::new(cfg).run(None)
 }
 
 /// The full scenario × network matrix for one scheme, fanned across the
@@ -189,7 +179,7 @@ pub fn run_chaos_matrix(
 ) -> Vec<(ChaosScenario, NetworkKind, SessionResult)> {
     let cells = sweep::grid(&ChaosScenario::ALL, &NetworkKind::ALL);
     let results = sweep::map(&cells, |_, &(sc, kind)| {
-        run_chaos(sc, kind, scheme.clone(), seed, chunks)
+        run_chaos(sc, kind, scheme.clone(), seed, chunks, None)
     });
     cells
         .into_iter()
@@ -236,6 +226,7 @@ mod tests {
             Scheme::nerve(),
             5,
             6,
+            None,
         );
         let b = run_chaos(
             ChaosScenario::Blackout,
@@ -243,6 +234,7 @@ mod tests {
             Scheme::nerve(),
             5,
             6,
+            None,
         );
         assert_eq!(a.qoe.to_bits(), b.qoe.to_bits());
         assert_eq!(a.degradation, b.degradation);

@@ -559,26 +559,19 @@ impl StreamingSession {
     }
 
     /// Stream the whole session and report. Equivalent to driving a
-    /// [`SessionRunner`] chunk by chunk.
-    pub fn run(self) -> SessionResult {
+    /// [`SessionRunner`] chunk by chunk. With an observability plane
+    /// attached, per-chunk spans and reconnect events go to the recorder
+    /// and the final [`SessionResult`] is exported into the registry.
+    /// Purely passive: the result is bit-identical with or without it.
+    pub fn run(self, mut obs: Option<&mut Obs>) -> SessionResult {
         let mut runner = SessionRunner::new(self.config);
         while !runner.is_done() {
-            runner.step();
-        }
-        runner.finish()
-    }
-
-    /// [`StreamingSession::run`] with an observability plane attached:
-    /// per-chunk spans and reconnect events go to the recorder, and the
-    /// final [`SessionResult`] is exported into the registry. Purely
-    /// passive — the result is bit-identical to [`StreamingSession::run`].
-    pub fn run_obs(self, obs: &mut Obs) -> SessionResult {
-        let mut runner = SessionRunner::new(self.config);
-        while !runner.is_done() {
-            runner.step_obs(Some(obs));
+            runner.step(obs.as_deref_mut());
         }
         let result = runner.finish();
-        result.export_metrics(&obs.registry);
+        if let Some(o) = obs {
+            result.export_metrics(&o.registry);
+        }
         result
     }
 }
@@ -864,18 +857,14 @@ impl SessionRunner {
     }
 
     /// Stream one chunk, then service any teardown event it crossed.
-    pub fn step(&mut self) {
-        self.step_obs(None);
-    }
-
-    /// [`SessionRunner::step`] with an observability plane attached. Each
-    /// step emits one balanced `session.chunk` span keyed by the chunk
-    /// index and stamped with virtual time, plus a `session.reconnect`
-    /// event per teardown — both are pure functions of simulation state,
-    /// so a run resumed from a checkpoint continues the trace exactly
-    /// where the killed run's prefix stopped (concatenation is
-    /// byte-identical to an uninterrupted trace).
-    pub fn step_obs(&mut self, mut obs: Option<&mut Obs>) {
+    /// With an observability plane attached, each step emits one balanced
+    /// `session.chunk` span keyed by the chunk index and stamped with
+    /// virtual time, plus a `session.reconnect` event per teardown — both
+    /// are pure functions of simulation state, so a run resumed from a
+    /// checkpoint continues the trace exactly where the killed run's
+    /// prefix stopped (concatenation is byte-identical to an
+    /// uninterrupted trace).
+    pub fn step(&mut self, mut obs: Option<&mut Obs>) {
         let idx = self.chunk_index as u64;
         if let Some(o) = obs.as_deref_mut() {
             o.open("session.chunk", idx, self.now.0);
@@ -1324,7 +1313,7 @@ mod tests {
         let mut cfg = SessionConfig::new(trace(NetworkKind::FiveG, seed), maps(), scheme);
         cfg.chunks = 20;
         cfg.seed = seed;
-        StreamingSession::new(cfg).run()
+        StreamingSession::new(cfg).run(None)
     }
 
     #[test]
@@ -1410,7 +1399,7 @@ mod tests {
             let mut cfg = SessionConfig::new(lossy_trace.clone(), maps(), scheme);
             cfg.chunks = 15;
             cfg.seed = seed;
-            StreamingSession::new(cfg).run()
+            StreamingSession::new(cfg).run(None)
         };
         let mut no_fec = 0.0;
         let mut with_fec = 0.0;
@@ -1445,14 +1434,14 @@ mod tests {
 
     #[test]
     fn blackout_past_threshold_tears_down_and_reconnects() {
-        let r = StreamingSession::new(disconnect_cfg(22)).run();
+        let r = StreamingSession::new(disconnect_cfg(22)).run(None);
         assert_eq!(r.reconnects, 1, "one outage window → one teardown");
         assert!(
             r.downtime_secs >= ReconnectPolicy::default().handshake_secs,
             "downtime {:.3}s must cover at least the handshake",
             r.downtime_secs
         );
-        let again = StreamingSession::new(disconnect_cfg(22)).run();
+        let again = StreamingSession::new(disconnect_cfg(22)).run(None);
         assert_eq!(r.invariant_digest(), again.invariant_digest());
     }
 
@@ -1460,7 +1449,7 @@ mod tests {
     fn without_reconnect_policy_no_teardown_happens() {
         let mut cfg = disconnect_cfg(23);
         cfg.reconnect = None;
-        let r = StreamingSession::new(cfg).run();
+        let r = StreamingSession::new(cfg).run(None);
         assert_eq!(r.reconnects, 0);
         assert_eq!(r.downtime_secs, 0.0);
     }
@@ -1468,13 +1457,13 @@ mod tests {
     #[test]
     fn killed_session_resumes_to_the_uninterrupted_digest() {
         let cfg = disconnect_cfg(21);
-        let uninterrupted = StreamingSession::new(cfg.clone()).run();
+        let uninterrupted = StreamingSession::new(cfg.clone()).run(None);
 
         // Stream part of the session, checkpoint, and "crash" by dropping
         // the runner. The serialized bytes are all that survives.
         let mut runner = SessionRunner::new(cfg.clone());
         while runner.chunk_index() < 7 {
-            runner.step();
+            runner.step(None);
         }
         let bytes = runner.checkpoint().to_bytes();
         drop(runner);
@@ -1482,7 +1471,7 @@ mod tests {
         let cp = SessionCheckpoint::from_bytes(&bytes).expect("own checkpoint must parse");
         let mut resumed = SessionRunner::resume(cfg, &cp).expect("resumes");
         while !resumed.is_done() {
-            resumed.step();
+            resumed.step(None);
         }
         let r = resumed.finish();
         assert_eq!(
@@ -1496,9 +1485,9 @@ mod tests {
     #[test]
     fn traced_session_matches_untraced_and_exports_metrics() {
         let cfg = disconnect_cfg(22);
-        let plain = StreamingSession::new(cfg.clone()).run();
+        let plain = StreamingSession::new(cfg.clone()).run(None);
         let mut obs = Obs::trace();
-        let traced = StreamingSession::new(cfg).run_obs(&mut obs);
+        let traced = StreamingSession::new(cfg).run(Some(&mut obs));
         assert_eq!(
             plain.invariant_digest(),
             traced.invariant_digest(),
@@ -1531,7 +1520,7 @@ mod tests {
     #[test]
     fn delta_plan_applies_all_updates_deterministically() {
         let plan = DeltaPlanConfig::default();
-        let r = StreamingSession::new(delta_cfg(25)).run();
+        let r = StreamingSession::new(delta_cfg(25)).run(None);
         let d = r.delta.expect("delta plan was configured");
         assert_eq!(d.version, plan.updates, "all updates must land");
         assert_eq!(d.applied, plan.updates as u64);
@@ -1539,11 +1528,11 @@ mod tests {
         // The final tensor is exactly the pure replay to that version.
         let head = HeadId::from_code(plan.head).unwrap();
         assert_eq!(d.weights_crc, weights_at(25, head, d.version).crc());
-        let again = StreamingSession::new(delta_cfg(25)).run();
+        let again = StreamingSession::new(delta_cfg(25)).run(None);
         assert_eq!(r.invariant_digest(), again.invariant_digest());
         // Sessions without a plan keep their legacy delta-free results.
         assert!(StreamingSession::new(disconnect_cfg(25))
-            .run()
+            .run(None)
             .delta
             .is_none());
     }
@@ -1551,12 +1540,12 @@ mod tests {
     #[test]
     fn killed_mid_delta_transfer_resumes_to_the_uninterrupted_digest() {
         let cfg = delta_cfg(26);
-        let uninterrupted = StreamingSession::new(cfg.clone()).run();
+        let uninterrupted = StreamingSession::new(cfg.clone()).run(None);
         let mut cut_mid_transfer = 0usize;
         for cut in [1usize, 2, 4, 9] {
             let mut runner = SessionRunner::new(cfg.clone());
             while runner.chunk_index() < cut {
-                runner.step();
+                runner.step(None);
             }
             let bytes = runner.checkpoint().to_bytes();
             drop(runner);
@@ -1566,7 +1555,7 @@ mod tests {
             }
             let mut resumed = SessionRunner::resume(cfg.clone(), &cp).expect("resumes");
             while !resumed.is_done() {
-                resumed.step();
+                resumed.step(None);
             }
             let r = resumed.finish();
             assert_eq!(
@@ -1585,17 +1574,19 @@ mod tests {
     #[test]
     fn checkpoint_can_be_taken_at_any_chunk_boundary() {
         let cfg = disconnect_cfg(24);
-        let reference = StreamingSession::new(cfg.clone()).run().invariant_digest();
+        let reference = StreamingSession::new(cfg.clone())
+            .run(None)
+            .invariant_digest();
         for cut in [1usize, 10, 19] {
             let mut runner = SessionRunner::new(cfg.clone());
             while runner.chunk_index() < cut {
-                runner.step();
+                runner.step(None);
             }
             let bytes = runner.checkpoint().to_bytes();
             let cp = SessionCheckpoint::from_bytes(&bytes).unwrap();
             let mut resumed = SessionRunner::resume(cfg.clone(), &cp).expect("resumes");
             while !resumed.is_done() {
-                resumed.step();
+                resumed.step(None);
             }
             assert_eq!(
                 resumed.finish().invariant_digest(),
@@ -1613,7 +1604,7 @@ mod tests {
         let cfg = disconnect_cfg(24);
         let mut runner = SessionRunner::new(cfg.clone());
         while runner.chunk_index() < 3 {
-            runner.step();
+            runner.step(None);
         }
         let mut cp = runner.checkpoint();
         cp.media_loss.draws = nerve_net::loss::MAX_REPLAY_DRAWS + 1;
@@ -1651,7 +1642,7 @@ mod diag {
                 let mut cfg = SessionConfig::new(trace, maps.clone(), scheme);
                 cfg.chunks = 15;
                 cfg.seed = seed;
-                StreamingSession::new(cfg).run()
+                StreamingSession::new(cfg).run(None)
             };
             let mut agg = [0.0; 4];
             let mut reb = [0.0; 4];

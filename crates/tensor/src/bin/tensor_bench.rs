@@ -1,32 +1,33 @@
 //! `nerve-tensor-bench` — the conv hot path, layout by layout.
 //!
-//! Measures MACs/sec for each layout of the direct conv kernel
-//! (`conv::Kernel`: planes, output-channel lanes, and image lanes on
-//! batches of eight or more) over the shapes the pipeline runs: every
-//! SR and enhancement head conv of a client frame at evaluation scale 8,
-//! the older 240p-geometry head rows, and the batcher backbone at
-//! occupancy 32 (`ServerModel::bench()`), at 1 and 4 worker threads.
-//! Each row names the layout `conv2d` dispatches to. Then the fused head
-//! against the staged ops at one worker, and the fleet batcher's small
-//! backbone (`serve_backbone`) in every layout at the bench's worker
-//! count, each batch labelled with the layout `conv2d` picks. Every
-//! layout's output is checked bit for bit against the plane layout's
-//! before any timing counts. Each rate is the median of [`REPEATS`]
-//! samples of ~0.25 s, the layouts' samples interleaved.
+//! Measures MACs/sec for both layouts of the direct conv kernel
+//! (`conv::Kernel`: the output-channel lanes `conv2d` runs, and the plane
+//! loop they are checked against) over the shapes the pipeline runs:
+//! every SR and enhancement head conv of a client frame at evaluation
+//! scale 8, the older 240p-geometry head rows, and the batcher backbone
+//! at occupancy 32 (`ServerModel::bench()`), at 1 and 4 worker threads.
+//! Then the fused head against the staged ops at one worker, and the
+//! fleet batcher's small backbone (`serve_backbone`) in both layouts at
+//! the bench's worker count, at the batch sizes fleets flush. The lanes'
+//! output is checked bit for bit against the plane layout's before any
+//! timing counts. Each rate is the median of [`REPEATS`] samples of
+//! ~0.25 s, the layouts' samples interleaved.
 //!
 //! Writes `BENCH_tensor.json`, then exits non-zero unless, on every row
-//! where `conv2d` runs a lane layout, that layout beats the plane loop
-//! at one worker (`serve_backbone` rows count under `--jobs 1`): a
-//! layout keeps its place only by winning on the shapes it runs. With `--digest-out PATH` it instead writes one FNV-1a
-//! digest per kernel output (the shapes, the fused head, the backbone at
-//! 13 and 1642 jobs and the frame's head convs) — wall-clock free, so
-//! CI can `cmp` the file across `--jobs` values to prove the kernels and
-//! meter are worker-count invariant.
+//! with at least four output channels (where the lanes fill a block
+//! rather than falling back to planes), the lanes beat the plane loop at
+//! one worker (`serve_backbone` rows count under `--jobs 1`): a layout
+//! keeps its place only by winning on the shapes it runs. With
+//! `--digest-out PATH` it instead writes one FNV-1a digest per kernel
+//! output (the shapes, the fused head, the backbone at 13 and 1642 jobs
+//! and the frame's head convs) — wall-clock free, so CI can `cmp` the
+//! file across `--jobs` values to prove the kernels and meter are
+//! worker-count invariant.
 //!
 //! Usage:
 //!   nerve-tensor-bench [--jobs N] [--out PATH] [--digest-out PATH]
 
-use nerve_tensor::conv::{conv2d, conv2d_with, ConvSpec, Kernel, LANES};
+use nerve_tensor::conv::{conv2d, conv2d_with, ConvSpec, Kernel};
 use nerve_tensor::fused::{head_forward, PlaneSource};
 use nerve_tensor::net::Conv2d;
 use nerve_tensor::{par, Tensor};
@@ -84,24 +85,23 @@ const BACKBONE: (ConvSpec, usize, usize) = (
     16,
 );
 
-/// The backbone's batch sizes: one job, and the `lossy-storm` fleet's
-/// traced `serve.occupancy_mean` (perfbench, seed 1: 1642.2 jobs per
-/// stacked call).
-const BACKBONE_BATCHES: [usize; 2] = [1, 1642];
+/// The backbone's batch sizes: one job, the small and mid-sized flushes
+/// of fleets (8, 16 and 64 jobs), and the `lossy-storm` fleet's traced
+/// `serve.occupancy_mean` (perfbench, seed 1: 1642.2 jobs per stacked
+/// call).
+const BACKBONE_BATCHES: [usize; 5] = [1, 8, 16, 64, 1642];
 
-/// The backbone's batch sizes in the digest file, both on the lane
-/// blocks: 13 (one full block and one with three idle lanes, below the
-/// parallel split) and 1642 (206 blocks, split at `--jobs` > 1).
+/// The backbone's batch sizes in the digest file: 13 (below the parallel
+/// split) and 1642 (split at `--jobs` > 1).
 const BACKBONE_DIGEST_BATCHES: [usize; 2] = [13, 1642];
 
-/// The layouts timed on a batch of `n`: image lanes only where a block
-/// can fill its lanes.
-fn layouts(n: usize) -> Vec<Kernel> {
-    let mut layouts = vec![Kernel::Plane, Kernel::ChannelLanes];
-    if n >= LANES {
-        layouts.push(Kernel::ImageLanes);
-    }
-    layouts
+/// The layouts every row times: the plane loop first, as the reference.
+const LAYOUTS: [Kernel; 2] = [Kernel::Plane, Kernel::ChannelLanes];
+
+/// Whether a row counts toward the gate: with fewer than four output
+/// channels the lanes run every channel on the plane loop.
+fn gated(spec: ConvSpec) -> bool {
+    spec.out_channels >= 4
 }
 
 fn main() {
@@ -161,7 +161,7 @@ fn main() {
     }
 
     let mut shape_entries = String::new();
-    // The slowest lane-layout row against the plane loop at one worker.
+    // The slowest gated row's lanes against the plane loop at one worker.
     let mut gate: Option<(String, f64)> = None;
     let mut check = |label: &str, speedup: f64| {
         if gate.as_ref().is_none_or(|(_, worst)| speedup < *worst) {
@@ -173,44 +173,32 @@ fn main() {
         let weight = seeded_weight(0xFACE, spec);
         let bias = seeded_bias(0xD00D, spec);
         let (macs, _) = spec.forward_work(n, h, w);
-        let kernel = Kernel::for_conv(spec, n, h, w);
 
         // Bit-identity gate before any timing counts.
         let plane = conv2d_with(Kernel::Plane, &input, &weight, &bias, spec);
-        for layout in layouts(n) {
-            let out = conv2d_with(layout, &input, &weight, &bias, spec);
-            assert_eq!(
-                plane.data(),
-                out.data(),
-                "{label}: {} diverged from the plane loop",
-                layout.name()
-            );
-        }
+        let lanes = conv2d(&input, &weight, &bias, spec);
+        assert_eq!(
+            plane.data(),
+            lanes.data(),
+            "{label}: the lanes diverged from the plane loop"
+        );
 
         let mut rows = String::new();
         for jobs in [1usize, 4] {
-            let rates = with_workers(jobs, || time_layouts(n, spec, &input, &weight, &bias));
-            let rate_of = |k: Kernel| rates.iter().find(|r| r.0 == k).map_or(0.0, |r| r.1);
-            let speedup = rate_of(kernel) / rate_of(Kernel::Plane);
-            if kernel != Kernel::Plane && jobs == 1 {
+            let [plane, lanes] = with_workers(jobs, || time_rates(n, spec, &input, &weight, &bias));
+            let speedup = lanes / plane;
+            if gated(spec) && jobs == 1 {
                 check(label, speedup);
-            }
-            let mut cols = String::new();
-            for (layout, rate) in &rates {
-                let _ = write!(cols, "\"{}_macs_per_sec\": {rate:.3e}, ", layout.name());
             }
             if !rows.is_empty() {
                 rows.push(',');
             }
             let _ = write!(
                 rows,
-                "\n      {{\"jobs\": {jobs}, {cols}\"speedup\": {speedup:.2}}}"
+                "\n      {{\"jobs\": {jobs}, \"plane_macs_per_sec\": {plane:.3e}, \
+                 \"channel_lanes_macs_per_sec\": {lanes:.3e}, \"speedup\": {speedup:.2}}}"
             );
-            eprintln!(
-                "[{label} jobs={jobs}: {} {:.2e} MACs/s, {speedup:.2}x the plane loop]",
-                kernel.name(),
-                rate_of(kernel)
-            );
+            eprintln!("[{label} jobs={jobs}: {lanes:.2e} MACs/s, {speedup:.2}x the plane loop]");
         }
         if !shape_entries.is_empty() {
             shape_entries.push(',');
@@ -219,16 +207,13 @@ fn main() {
             shape_entries,
             "\n    {{\"shape\": \"{label}\", \"n\": {n}, \"in_c\": {}, \"out_c\": {}, \
              \"kernel\": {}, \"h\": {h}, \"w\": {w}, \"macs\": {macs}, \
-             \"dispatch\": \"{}\", \"threads\": [{rows}\n    ]}}",
-            spec.in_channels,
-            spec.out_channels,
-            spec.kernel,
-            kernel.name()
+             \"threads\": [{rows}\n    ]}}",
+            spec.in_channels, spec.out_channels, spec.kernel,
         );
     }
 
-    // The batcher's backbone in every layout, at the bench's worker
-    // count, labelled with the layout `conv2d` dispatches to.
+    // The batcher's backbone in both layouts, at the bench's worker
+    // count.
     let (spec, h, w) = BACKBONE;
     let weight = seeded_weight(0xFACE, spec);
     let bias = seeded_bias(0xD00D, spec);
@@ -238,37 +223,26 @@ fn main() {
     );
     for (i, n) in BACKBONE_BATCHES.into_iter().enumerate() {
         let input = seeded_input(0x5E4E ^ n as u32, n, spec.in_channels, h, w);
-        let kernel = Kernel::for_conv(spec, n, h, w);
-        let rates = time_layouts(n, spec, &input, &weight, &bias);
-        let rate_of = |k: Kernel| rates.iter().find(|r| r.0 == k).map_or(0.0, |r| r.1);
-        let speedup = rate_of(kernel) / rate_of(Kernel::Plane);
-        if kernel != Kernel::Plane && par::workers() == 1 {
+        let [plane, lanes] = time_rates(n, spec, &input, &weight, &bias);
+        let speedup = lanes / plane;
+        if gated(spec) && par::workers() == 1 {
             check(&format!("serve_backbone_n{n}"), speedup);
         }
-        let mut cols = String::new();
-        for (layout, rate) in &rates {
-            let _ = write!(
-                cols,
-                ", \"{}_gmacs_per_s\": {:.3}",
-                layout.name(),
-                rate / 1e9
-            );
-        }
         eprintln!(
-            "[serve_backbone n={n}: {} {:.3} GMAC/s, {speedup:.2}x the plane loop]",
-            kernel.name(),
-            rate_of(kernel) / 1e9
+            "[serve_backbone n={n}: {:.3} GMAC/s, {speedup:.2}x the plane loop]",
+            lanes / 1e9
         );
         let _ = write!(
             backbone,
-            "{}\n      {{\"n\": {n}, \"kernel\": \"{}\", \"gmacs_per_s\": {:.3}{cols}}}",
+            "{}\n      {{\"n\": {n}, \"plane_gmacs_per_s\": {:.3}, \
+             \"channel_lanes_gmacs_per_s\": {:.3}, \"speedup\": {speedup:.2}}}",
             if i > 0 { "," } else { "" },
-            kernel.name(),
-            rate_of(kernel) / 1e9
+            plane / 1e9,
+            lanes / 1e9
         );
     }
     backbone.push_str("\n  ]}");
-    let (gate_shape, gate_speedup) = gate.expect("some row runs a lane layout");
+    let (gate_shape, gate_speedup) = gate.expect("some row has four or more output channels");
 
     // Fused head vs staged ops at the SR-head shape, both at one worker:
     // `head_forward` is always serial, while the staged `conv2d` calls
@@ -317,8 +291,8 @@ fn main() {
     // measurements on disk.
     assert!(
         gate_speedup > 1.0,
-        "a lane layout must beat the plane loop on every shape conv2d runs it \
-         on; {gate_shape} measured {gate_speedup:.2}x"
+        "the lanes must beat the plane loop on every shape with four or more \
+         output channels; {gate_shape} measured {gate_speedup:.2}x"
     );
 }
 
@@ -351,8 +325,7 @@ fn write_digests(path: &str) {
         ",\n    {{\"shape\": \"fused_sr_head\", \"digest\": \"{:016x}\"}}",
         fnv1a(fused.data())
     );
-    // The batcher's backbone on the lane blocks, with the same inputs as
-    // its timed rows.
+    // The batcher's backbone, with the same inputs as its timed rows.
     let (spec, h, w) = BACKBONE;
     let weight = seeded_weight(0xFACE, spec);
     let bias = seeded_bias(0xD00D, spec);
@@ -401,16 +374,10 @@ fn conv_digest(
     )
 }
 
-/// Each of [`layouts`]`(n)` timed on one input, at the current worker
+/// MACs/sec of each of [`LAYOUTS`] on one input, at the current worker
 /// count.
-fn time_layouts(
-    n: usize,
-    spec: ConvSpec,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &[f32],
-) -> Vec<(Kernel, f64)> {
-    let runs: Vec<Box<dyn FnMut()>> = layouts(n)
+fn time_rates(n: usize, spec: ConvSpec, input: &Tensor, weight: &Tensor, bias: &[f32]) -> [f64; 2] {
+    let runs: Vec<Box<dyn FnMut()>> = LAYOUTS
         .into_iter()
         .map(|layout| {
             Box::new(move || {
@@ -419,10 +386,9 @@ fn time_layouts(
         })
         .collect();
     let (macs, _) = spec.forward_work(n, input.h(), input.w());
-    layouts(n)
-        .into_iter()
-        .zip(time_macs_per_sec(macs, runs))
-        .collect()
+    time_macs_per_sec(macs, runs)
+        .try_into()
+        .expect("one rate per layout")
 }
 
 /// Samples per rate; the bench reports their median.

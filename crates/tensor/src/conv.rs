@@ -3,24 +3,20 @@
 //! This is the workhorse of both the recovery and SR heads. One direct
 //! kernel streams every output as the bias followed by its in-frame taps
 //! in ascending `(ic, ky, kx)` order, each a separate multiply and add,
-//! with padded taps skipped rather than added as zeros. It runs in three
-//! layouts ([`Kernel`]):
+//! with padded taps skipped rather than added as zeros. [`conv2d`] runs
+//! it in one layout for every input, the **output-channel lanes**: the
+//! weights are transposed to `[ic][ky][kx][lane]` and eight output
+//! channels (then a block of four) fill the lanes of a vector, with a few
+//! pixels of accumulators held in registers across every tap. Leftover
+//! channels, fewer than four, run on the **plane** loop, one (image,
+//! out-channel) plane at a time. [`conv2d_with`] can also run the plane
+//! loop alone ([`Kernel::Plane`]): the reference that the bench and the
+//! bit-identity suites compare the lanes against.
 //!
-//! * **output-channel lanes** for batches of fewer than eight images
-//!   (every SR and enhancement head frame): the weights are transposed to
-//!   `[ic][ky][kx][lane]` and eight output channels (then a block of four)
-//!   fill the lanes of a vector, with a few pixels of accumulators held in
-//!   registers across every tap; leftover channels run on the plane loop;
-//! * **image lanes** for batches of eight or more (the fleet batcher's
-//!   stacked backbone): eight images per vector, one lane each;
-//! * the **plane** loop, one (image, out-channel) plane at a time, which
-//!   the other two fall back to and are checked against.
-//!
-//! Every layout gives each output the same float ops in the same order,
+//! Both layouts give each output the same float ops in the same order,
 //! so they are bit-identical, and [`conv2d`] reports the same analytic
 //! cost to the meter on the caller thread *before* any worker split —
-//! traces and fleet digests stay byte-identical whichever layout runs
-//! and at any `--jobs` count.
+//! traces and fleet digests stay byte-identical at any `--jobs` count.
 //!
 //! Padding is symmetric zero padding ("same" output size when
 //! `stride == 1` and `pad == k/2`).
@@ -184,81 +180,43 @@ fn prepare_forward(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec
 /// `input` is `[n, in_c, h, w]`, `weight` is `[out_c, in_c, k, k]`, `bias`
 /// has `out_c` elements. Returns `[n, out_c, oh, ow]`.
 ///
-/// Runs the layout [`Kernel::for_conv`] picks: image lanes on batches of
-/// at least [`LANES`] small planes (the fleet batcher's backbone),
-/// output-channel lanes otherwise, or planes where no block of four
-/// channels fills. Every layout produces the same bits, and the analytic
-/// cost is charged here, on the caller thread, before any runs.
+/// Runs the output-channel lanes ([`Kernel::ChannelLanes`]) on every
+/// input, one image at a time, whatever the batch or plane size. The
+/// analytic cost is charged here, on the caller thread, before any runs.
 ///
 /// Large inputs are split across the shared worker pool ([`crate::par`]).
 /// Every output value is computed independently by exactly one worker,
 /// so the output is bit-identical at every worker count; nested calls
 /// from inside a pool worker stay serial.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f32], spec: ConvSpec) -> Tensor {
-    let kernel = Kernel::for_conv(spec, input.n(), input.h(), input.w());
-    conv2d_with(kernel, input, weight, bias, spec)
+    conv2d_with(Kernel::ChannelLanes, input, weight, bias, spec)
 }
 
-/// Lanes per vector: an image-lane block holds this many images, and an
-/// output-channel block this many channels (then one block of half as
-/// many).
+/// Lanes per vector: an output-channel block holds this many channels
+/// (then one block of half as many).
 pub const LANES: usize = 8;
 
 /// The layouts of the direct kernel. Each gives every output the same
-/// float ops in the same order, so all three are bit-identical; they
-/// differ in what fills a vector's lanes.
+/// float ops in the same order, so both are bit-identical; they differ
+/// in what fills a vector's lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// One (image, out-channel) plane at a time ([`conv_plane`]).
+    /// One (image, out-channel) plane at a time ([`conv_plane`]): the
+    /// reference the lanes are checked and timed against.
     Plane,
     /// One image at a time, [`LANES`] (then four) output channels per
     /// vector ([`conv_channel_block`]); leftover channels run as planes.
+    /// What [`conv2d`] runs.
     ChannelLanes,
-    /// [`LANES`] images per vector, one lane each ([`conv_lane_block`]).
-    ImageLanes,
-}
-
-/// The largest output plane, in pixels, that runs in image lanes. On a
-/// 2-vCPU x86-64 host at one worker, image lanes ran level with channel
-/// lanes on 8×16 planes (128 pixels, the fleet batcher's backbone) and
-/// 1.2× slower on 16×32 planes, where the channel lanes' border share is
-/// smaller.
-const IMAGE_LANES_MAX_PLANE: usize = 256;
-
-impl Kernel {
-    /// The layout [`conv2d`] runs for `spec` on a batch of `n` images of
-    /// `h x w`: image lanes once every lane of a block can hold an image
-    /// and the planes are small; otherwise output-channel lanes, or
-    /// planes when there are fewer than four output channels, which the
-    /// channel lanes would run as planes anyway.
-    pub fn for_conv(spec: ConvSpec, n: usize, h: usize, w: usize) -> Self {
-        let plane = spec.checked_out_size(h, w).map_or(0, |(oh, ow)| oh * ow);
-        if n >= LANES && plane <= IMAGE_LANES_MAX_PLANE {
-            Kernel::ImageLanes
-        } else if spec.out_channels >= LANES / 2 {
-            Kernel::ChannelLanes
-        } else {
-            Kernel::Plane
-        }
-    }
-
-    /// The layout's name in bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Plane => "plane",
-            Kernel::ChannelLanes => "channel_lanes",
-            Kernel::ImageLanes => "image_lanes",
-        }
-    }
 }
 
 /// Forward convolution pinned to one layout. Charges the same analytic
 /// cost as [`conv2d`] and returns the same bits; used by benches and the
 /// layout bit-identity tests.
 ///
-/// Each layout cuts the output into units: (image, out-channel) planes,
-/// (image, channel block) pairs, or blocks of [`LANES`] images. The
-/// units split across the worker pool in contiguous ranges.
+/// Each layout cuts the output into units: (image, out-channel) planes
+/// or (image, channel block) pairs. The units split across the worker
+/// pool in contiguous ranges.
 pub fn conv2d_with(
     kernel: Kernel,
     input: &Tensor,
@@ -279,10 +237,9 @@ pub fn conv2d_with(
     let oc_n = spec.out_channels;
     let plane_len = out.h() * out.w();
     // Each image's channel planes, borrowed once rather than per unit.
-    let images = || -> Vec<Vec<&[f32]>> { (0..n).map(|n| image_planes(input, n)).collect() };
+    let images: Vec<Vec<&[f32]>> = (0..n).map(|n| image_planes(input, n)).collect();
     match kernel {
         Kernel::Plane => {
-            let images = images();
             for_unit_ranges(
                 out.data_mut(),
                 n * oc_n,
@@ -296,7 +253,6 @@ pub fn conv2d_with(
             );
         }
         Kernel::ChannelLanes => {
-            let images = images();
             let blocks = channel_blocks(oc_n);
             let wt = lane_weights(weight, &blocks);
             let nb = blocks.len();
@@ -308,22 +264,6 @@ pub fn conv2d_with(
                     let planes = &images[u / nb];
                     run_channel_block(planes, h, w, weight, &wt, bias, spec, block, dst);
                     out = rest;
-                }
-            });
-        }
-        Kernel::ImageLanes => {
-            let image_len = input.c() * h * w;
-            let block_in = LANES * image_len;
-            let block_out = LANES * oc_n * plane_len;
-            let blocks = n.div_ceil(LANES);
-            let unit_len = |b: usize| LANES.min(n - b * LANES) * oc_n * plane_len;
-            for_unit_ranges(out.data_mut(), blocks, unit_len, macs, |units, out| {
-                // One scratch per worker, reused by each of its blocks.
-                let mut x = vec![0.0f32; block_in];
-                let mut acc = vec![0.0f32; LANES * plane_len];
-                let blocks_in = input.data().chunks(block_in).skip(units.start);
-                for (block, out) in blocks_in.zip(out.chunks_mut(block_out)) {
-                    conv_lane_block(block, h, w, weight, bias, spec, &mut x, &mut acc, out);
                 }
             });
         }
@@ -365,89 +305,6 @@ fn for_unit_ranges(
     }
 }
 
-/// Forward convolution of up to [`LANES`] images at once, one vector
-/// lane per image: `input` holds the block's images (`[n][ic][h][w]`,
-/// `n <= LANES`) and `out` receives their outputs (`[n][oc][oh][ow]`).
-///
-/// The images are copied into `x`, interleaved as `[ic][y][x][lane]`
-/// (missing lanes are zero), and each output channel is accumulated in
-/// `acc` as `[oy][ox][lane]` by [`conv_plane`]'s tap-streamed loop over
-/// 8-wide elements: the bias first, then every in-frame tap in
-/// ascending `(ic, ky, kx)` order, each as a separate multiply and add.
-/// So each output gets the same float ops in the same order as in
-/// [`conv_plane`], bit for bit, while a row run of an 8×16 plane is
-/// 8 × 16 contiguous floats instead of 16. Lanes never mix, so the
-/// padding lanes of a partial block touch no real output; their
-/// results are dropped.
-#[allow(clippy::too_many_arguments)]
-fn conv_lane_block(
-    input: &[f32],
-    h: usize,
-    w: usize,
-    weight: &Tensor,
-    bias: &[f32],
-    spec: ConvSpec,
-    x: &mut [f32],
-    acc: &mut [f32],
-    out: &mut [f32],
-) {
-    let (oh, ow) = spec.out_size(h, w);
-    let (k, stride, pad) = (spec.kernel, spec.stride, spec.pad);
-    let taps = k * k;
-    let image_len = spec.in_channels * h * w;
-    let plane_len = oh * ow;
-    if input.len() < LANES * image_len {
-        x.fill(0.0);
-    }
-    for (lane, image) in input.chunks_exact(image_len).enumerate() {
-        for (xs, &v) in x[lane..].iter_mut().step_by(LANES).zip(image) {
-            *xs = v;
-        }
-    }
-    let wdata = weight.data().chunks_exact(spec.in_channels * taps);
-    for (oc, (w_oc, &b)) in wdata.zip(bias).enumerate() {
-        acc.fill(b);
-        for (plane, w_ic) in x.chunks_exact(h * w * LANES).zip(w_oc.chunks_exact(taps)) {
-            for (ky, w_ky) in w_ic.chunks_exact(k).enumerate() {
-                let rows = in_frame(ky, pad, stride, h, oh);
-                for (kx, &wv) in w_ky.iter().enumerate() {
-                    let run = in_frame(kx, pad, stride, w, ow);
-                    if run.is_empty() {
-                        continue;
-                    }
-                    let ix = run.start * stride + kx - pad;
-                    let len = run.len() * LANES;
-                    for oy in rows.clone() {
-                        let src = &plane[((oy * stride + ky - pad) * w + ix) * LANES..];
-                        let dst = &mut acc[(oy * ow + run.start) * LANES..][..len];
-                        if stride == 1 {
-                            for (o, x) in dst.iter_mut().zip(&src[..len]) {
-                                *o += x * wv;
-                            }
-                        } else {
-                            let src = src.chunks_exact(LANES).step_by(stride);
-                            for (o, x) in dst.chunks_exact_mut(LANES).zip(src) {
-                                for (o, x) in o.iter_mut().zip(x) {
-                                    *o += x * wv;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for (lane, image) in out
-            .chunks_exact_mut(spec.out_channels * plane_len)
-            .enumerate()
-        {
-            let dst = &mut image[oc * plane_len..(oc + 1) * plane_len];
-            for (o, &v) in dst.iter_mut().zip(acc[lane..].iter().step_by(LANES)) {
-                *o = v;
-            }
-        }
-    }
-}
-
 /// Image `n` of `input` as borrowed `h x w` channel planes.
 fn image_planes(input: &Tensor, n: usize) -> Vec<&[f32]> {
     let hw = input.h() * input.w();
@@ -459,7 +316,7 @@ fn image_planes(input: &Tensor, n: usize) -> Vec<&[f32]> {
 
 /// Forward convolution of one image, given as borrowed `h x w` channel
 /// planes, into `out` (`out_channels` contiguous output planes), in the
-/// output-channel-lane layout `conv2d` runs on small batches. Serial and
+/// output-channel-lane layout `conv2d` runs. Serial and
 /// uncharged: the caller charges the meter. The fused head
 /// ([`crate::fused`]) runs both of its convs through here.
 pub(crate) fn conv_image(

@@ -14,16 +14,15 @@
 //! output into NaN there. NaN compares as NaN; every other value
 //! compares by its bits, so `-0.0` differs from `+0.0`.
 //!
-//! Each case runs all three layouts and `conv2d`, at 1 and 4 workers.
-//! Output-channel lanes run blocks of 8 channels with 4 pixels in
-//! registers, a block of 4 with 8 pixels, and leave the last `out_c mod
-//! 4` channels to the plane loop; the channel suite walks out_c 1–17 on
-//! planes narrower and shorter than those pixel blocks. Image lanes put
-//! one image per lane in blocks of 8, the last padded by idle lanes; the
-//! lane suites walk the grid and the every-tap-clipped cases at batches
-//! 7, 8, 9, 16 and 17 (below, at, between and above the multiples of 8),
-//! and run shapes large enough that 4 workers split the units between
-//! them.
+//! Each case runs both layouts and `conv2d`, at 1 and 4 workers.
+//! Output-channel lanes, what `conv2d` runs, take one image at a time in
+//! blocks of 8 channels with 4 pixels in registers, a block of 4 with 8
+//! pixels, and leave the last `out_c mod 4` channels to the plane loop;
+//! the channel suite walks out_c 1–17 on planes narrower and shorter
+//! than those pixel blocks. The batch suites walk the grid and the
+//! every-tap-clipped cases at batches 7, 8, 9, 16 and 17, the sizes that
+//! stacked fleet flushes reach, and run shapes large enough that 4
+//! workers split the (image, channel block) units between them.
 
 use nerve_rng::{check_cases, DetRng, Rng};
 use nerve_tensor::conv::{conv2d, conv2d_with, ConvSpec, Kernel};
@@ -168,7 +167,7 @@ fn check_against_oracle(
     let prev = par::workers();
     for workers in [1, 4] {
         par::set_workers(workers);
-        for kernel in [Kernel::Plane, Kernel::ChannelLanes, Kernel::ImageLanes] {
+        for kernel in [Kernel::Plane, Kernel::ChannelLanes] {
             let out = conv2d_with(kernel, input, weight, bias, spec);
             assert_same(&format!("{label} {kernel:?}@{workers}"), out.data(), &want);
         }
@@ -329,8 +328,9 @@ fn channel_lanes_match_the_per_pixel_oracle_for_out_c_1_to_17() {
     assert!(cases >= 1800, "the channel grid shrank to {cases} cells");
 }
 
-/// Batch sizes around the lane-block width of 8: one short of a block,
-/// one block, one block and one image, two blocks, two and one.
+/// Batch sizes around multiples of 8, the stacked flushes of a fleet:
+/// one short of 8, 8, one more, 16 and one more. Each image is its own
+/// run of channel-block units, so no image may leak into the next.
 const LANE_BATCHES: [usize; 5] = [7, 8, 9, 16, 17];
 
 /// The grid again at every batch of [`LANE_BATCHES`].
@@ -359,10 +359,11 @@ fn lane_blocks_match_the_per_pixel_oracle_over_the_grid() {
 
 /// Shapes whose MACs cross the conv's parallel-split threshold (2^20),
 /// so at 4 workers the units split across threads: the batcher's
-/// backbone at 121 jobs (16 image-lane blocks, one image in the last), a
-/// 5×5 stride-2 conv on 17×33 planes at 25 images, and 6 → 13 channels
-/// on two 40×48 images, whose six (image, channel block) units — blocks
-/// of 8, 4 and 1 channels — split two per worker, across an image.
+/// backbone at 121 jobs (121 units of one 4-channel block, 31 per worker
+/// and 28 in the last), a 5×5 stride-2 conv on 17×33 planes at 25
+/// images, and 6 → 13 channels on two 40×48 images, whose six (image,
+/// channel block) units — blocks of 8, 4 and 1 channels — split two per
+/// worker, across an image.
 #[test]
 fn lane_blocks_split_across_workers_match_the_per_pixel_oracle() {
     let backbone = ConvSpec::same(2, 4, 3);
@@ -444,7 +445,7 @@ fn outputs_with_every_tap_clipped_keep_a_negative_zero_bias() {
     });
 }
 
-/// The same in lane blocks, at every batch of [`LANE_BATCHES`].
+/// The same at every batch of [`LANE_BATCHES`].
 #[test]
 fn lane_blocks_keep_a_negative_zero_bias_where_every_tap_is_clipped() {
     for n in LANE_BATCHES {

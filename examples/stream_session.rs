@@ -23,7 +23,7 @@ fn main() {
     ] {
         let mut cfg = SessionConfig::new(trace.clone(), maps.clone(), scheme);
         cfg.chunks = 30;
-        let result = StreamingSession::new(cfg).run();
+        let result = StreamingSession::new(cfg).run(None);
         println!("\n--- {name} ---");
         println!("session QoE:        {:.3}", result.qoe);
         println!("rebuffering:        {:.2} s", result.total_rebuffer_secs);

@@ -13,9 +13,7 @@ use nerve_net::loss::Bernoulli;
 use nerve_net::reliable::ReliableChannel;
 use nerve_net::trace::{NetworkKind, NetworkTrace};
 use nerve_obs::Obs;
-use nerve_sim::scenarios::{
-    run_chaos, run_chaos_matrix, run_chaos_obs, run_chaos_with_reconnect, ChaosScenario,
-};
+use nerve_sim::scenarios::{run_chaos, run_chaos_matrix, run_chaos_with_reconnect, ChaosScenario};
 use nerve_sim::session::{ReconnectPolicy, Scheme};
 
 const CHUNKS: usize = 12;
@@ -36,14 +34,21 @@ fn kitchen_sink_survives_on_every_network_kind() {
     let mut runs = 0u64;
     for kind in NetworkKind::ALL {
         for seed in [1u64, 7] {
-            let clean = run_chaos(ChaosScenario::Clean, kind, Scheme::nerve(), seed, CHUNKS);
-            let chaos = run_chaos_obs(
+            let clean = run_chaos(
+                ChaosScenario::Clean,
+                kind,
+                Scheme::nerve(),
+                seed,
+                CHUNKS,
+                None,
+            );
+            let chaos = run_chaos(
                 ChaosScenario::KitchenSink,
                 kind,
                 Scheme::nerve(),
                 seed,
                 CHUNKS,
-                &mut obs,
+                Some(&mut obs),
             );
             runs += 1;
             let label = format!("{} seed {seed}", kind.label());
@@ -132,7 +137,7 @@ fn disconnect_soak_reconnects_and_is_digest_stable() {
                 CHUNKS,
             );
             cfg.reconnect = Some(ReconnectPolicy::default());
-            let a = nerve_sim::session::StreamingSession::new(cfg).run_obs(&mut obs);
+            let a = nerve_sim::session::StreamingSession::new(cfg).run(Some(&mut obs));
             let b = run();
             let label = format!("{} seed {seed}", kind.label());
 
@@ -166,6 +171,7 @@ fn disconnect_soak_reconnects_and_is_digest_stable() {
                 Scheme::nerve(),
                 seed,
                 CHUNKS,
+                None,
             );
             assert_eq!(plain.reconnects, 0, "{label}");
             assert_eq!(plain.chunks.len(), CHUNKS, "{label}");
@@ -182,13 +188,13 @@ fn degradation_is_graceful_not_binary() {
     // from its snapshot.
     let mut obs = Obs::metrics_only();
     for kind in NetworkKind::ALL {
-        run_chaos_obs(
+        run_chaos(
             ChaosScenario::KitchenSink,
             kind,
             Scheme::nerve(),
             3,
             CHUNKS,
-            &mut obs,
+            Some(&mut obs),
         );
     }
     let snap = obs.registry.snapshot();
@@ -259,7 +265,7 @@ fn seeded_subset_of_the_soak_matrix_survives() {
     }
     for &idx in &order[..K] {
         let (scenario, kind) = cells[idx];
-        let r = run_chaos(scenario, kind, Scheme::nerve(), 13, CHUNKS);
+        let r = run_chaos(scenario, kind, Scheme::nerve(), 13, CHUNKS, None);
         let label = format!("{} on {}", scenario.label(), kind.label());
         assert_eq!(r.chunks.len(), CHUNKS, "{label}");
         assert!(r.qoe.is_finite(), "{label}: QoE {}", r.qoe);

@@ -424,7 +424,7 @@ fn wire_formats() -> Vec<WireFormat> {
     let mut session = SessionRunner::new(session_cfg);
     let mut sessions = vec![session.checkpoint().to_bytes()];
     while !session.is_done() {
-        session.step();
+        session.step(None);
         sessions.push(session.checkpoint().to_bytes());
     }
 

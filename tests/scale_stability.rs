@@ -252,7 +252,7 @@ fn fleet_with_crashes_restart_and_breaker_is_jobs_invariant() {
 #[test]
 fn live_fleet_32_fir_storm_is_jobs_invariant_and_resumable() {
     use nerve::core::LivePolicy;
-    use nerve::sim::live::{fir_storm_config, run_live_fleet, run_live_fleet_obs};
+    use nerve::sim::live::{fir_storm_config, run_live_fleet};
     use nerve::sim::sweep;
     use nerve::sim::{LiveCheckpoint, LiveFleetRunner};
     use nerve_obs::Obs;
@@ -261,11 +261,11 @@ fn live_fleet_32_fir_storm_is_jobs_invariant_and_resumable() {
     let prev = sweep::workers();
     sweep::set_workers(1);
     let mut obs = Obs::metrics_only();
-    let serial = run_live_fleet_obs(&cfg, Some(&mut obs));
+    let serial = run_live_fleet(&cfg, Some(&mut obs));
     sweep::set_workers(2);
-    let two = run_live_fleet(&cfg);
+    let two = run_live_fleet(&cfg, None);
     sweep::set_workers(4);
-    let four = run_live_fleet(&cfg);
+    let four = run_live_fleet(&cfg, None);
     sweep::set_workers(prev);
 
     assert_eq!(

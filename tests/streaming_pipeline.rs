@@ -13,7 +13,7 @@ fn run(kind: NetworkKind, scheme: Scheme, seed: u64) -> f64 {
     let mut cfg = SessionConfig::new(trace, maps(), scheme);
     cfg.chunks = 15;
     cfg.seed = seed;
-    StreamingSession::new(cfg).run().qoe
+    StreamingSession::new(cfg).run(None).qoe
 }
 
 #[test]

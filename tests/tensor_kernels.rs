@@ -1,8 +1,9 @@
-//! The tensor hot-path contract: every forward kernel layout — planes,
-//! output-channel lanes, image lanes — and the fused head produce
-//! bit-identical outputs and identical analytic meter charges, at every
-//! worker count. These are the invariants that let `conv2d` dispatch by
-//! batch size without fleet digests or cost traces ever noticing.
+//! The tensor hot-path contract: both forward kernel layouts — the
+//! output-channel lanes `conv2d` runs and the plane loop — and the fused
+//! head produce bit-identical outputs and identical analytic meter
+//! charges, at every worker count. These are the invariants that let a
+//! kernel change land without fleet digests or cost traces ever
+//! noticing.
 
 use nerve_serve::{
     run_fleet, FleetConfig, InferenceBatcher, InferenceJob, JobKind, ServerModel, Service,
@@ -156,7 +157,7 @@ fn channel_lanes_and_reference_agree_bitwise_over_the_grid() {
         );
         let bias = fill(seed ^ 0x5555, spec.out_channels);
         let reference = conv2d_reference(&input, &weight, &bias, spec);
-        for kernel in [Kernel::ChannelLanes, Kernel::Plane, Kernel::ImageLanes] {
+        for kernel in [Kernel::ChannelLanes, Kernel::Plane] {
             let out = conv2d_with(kernel, &input, &weight, &bias, spec);
             assert_eq!(
                 reference.data(),
@@ -164,11 +165,11 @@ fn channel_lanes_and_reference_agree_bitwise_over_the_grid() {
                 "{kernel:?} diverged: {spec:?} {n}x{h}x{w}"
             );
         }
-        let dispatched = conv2d(&input, &weight, &bias, spec);
+        let out = conv2d(&input, &weight, &bias, spec);
         assert_eq!(
             reference.data(),
-            dispatched.data(),
-            "dispatch diverged: {spec:?} {n}x{h}x{w}"
+            out.data(),
+            "conv2d diverged: {spec:?} {n}x{h}x{w}"
         );
     }
 }
@@ -213,7 +214,7 @@ fn degenerate_specs_report_zero_cost_and_never_panic() {
 fn kernel_outputs_and_meter_are_invariant_across_worker_counts() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // A shape big enough to cross the parallel-split threshold in both
-    // lane layouts (macs = 32*16*32*64*72 ≈ 75M).
+    // layouts (macs = 32*16*32*64*72 ≈ 75M).
     let spec = ConvSpec::same(8, 16, 3);
     let (n, h, w) = (32usize, 32usize, 64usize);
     let input = Tensor::from_vec(n, 8, h, w, fill(0xF00D, n * 8 * h * w));
@@ -225,24 +226,27 @@ fn kernel_outputs_and_meter_are_invariant_across_worker_counts() {
             at_workers(workers, || {
                 meter::start();
                 let out = meter::stage("batch", || conv2d(&input, &conv.weight, &conv.bias, spec));
-                let lanes =
-                    conv2d_with(Kernel::ChannelLanes, &input, &conv.weight, &conv.bias, spec);
-                (out, lanes, meter::stop())
+                let plane = conv2d_with(Kernel::Plane, &input, &conv.weight, &conv.bias, spec);
+                (out, plane, meter::stop())
             })
         })
         .collect();
-    let (ref out0, ref lanes0, ref prof0) = runs[0];
-    assert_eq!(out0.data(), lanes0.data(), "dispatch changed the bits");
-    for (workers, (out, lanes, prof)) in WORKER_COUNTS.iter().zip(&runs).skip(1) {
+    let (ref out0, ref plane0, ref prof0) = runs[0];
+    assert_eq!(
+        out0.data(),
+        plane0.data(),
+        "the lanes diverged from the plane loop"
+    );
+    for (workers, (out, plane, prof)) in WORKER_COUNTS.iter().zip(&runs).skip(1) {
         assert_eq!(
             out0.data(),
             out.data(),
             "conv2d diverged at {workers} workers"
         );
         assert_eq!(
-            lanes0.data(),
-            lanes.data(),
-            "channel lanes diverged at {workers} workers"
+            plane0.data(),
+            plane.data(),
+            "the plane loop diverged at {workers} workers"
         );
         assert_eq!(prof0, prof, "meter profile diverged at {workers} workers");
     }
@@ -309,10 +313,11 @@ fn flush_checksums(model: ServerModel, jobs: usize, workers: usize) -> Vec<u32> 
 #[test]
 fn batcher_checksums_are_invariant_across_worker_counts() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // `bench()` at 32 jobs takes the output-channel lanes. `small()` at
-    // 150 jobs takes the image lanes: 150 is not a multiple of 8, and
-    // 150 · 4 · 8·16 · 18 MACs crosses the conv's parallel-split
-    // threshold (2^20, from 114 jobs up), so 2 and 4 workers split it.
+    // `bench()` at 32 jobs runs two 8-channel blocks per job. `small()`
+    // at 150 jobs runs one 4-channel block per job, and 150 · 4 · 8·16 ·
+    // 18 MACs crosses the conv's parallel-split threshold (2^20, from 114
+    // jobs up), so 2 and 4 workers split it, 75 or 38 jobs per worker
+    // (the last 36).
     for (model, jobs) in [(ServerModel::bench(), 32), (ServerModel::small(), 150)] {
         let reference = flush_checksums(model.clone(), jobs, 1);
         assert_eq!(reference.len(), jobs);

@@ -87,13 +87,13 @@ fn session_trace_is_byte_identical_across_kill_and_resume() {
     let mut whole = Obs::trace();
     let mut runner = SessionRunner::new(cfg.clone());
     while !runner.is_done() {
-        runner.step_obs(Some(&mut whole));
+        runner.step(Some(&mut whole));
     }
     let reference = runner.finish();
     let reference_log = whole.trace_lines().expect("trace recorder keeps lines");
 
     // Attaching the recorder never changes the computation.
-    let plain = nerve::sim::session::StreamingSession::new(cfg.clone()).run();
+    let plain = nerve::sim::session::StreamingSession::new(cfg.clone()).run(None);
     assert_eq!(
         plain.invariant_digest(),
         reference.invariant_digest(),
@@ -105,7 +105,7 @@ fn session_trace_is_byte_identical_across_kill_and_resume() {
     let mut pre = Obs::trace();
     let mut runner = SessionRunner::new(cfg.clone());
     while runner.chunk_index() < 7 {
-        runner.step_obs(Some(&mut pre));
+        runner.step(Some(&mut pre));
     }
     let bytes = runner.checkpoint().to_bytes();
     let pre_log = pre
@@ -120,7 +120,7 @@ fn session_trace_is_byte_identical_across_kill_and_resume() {
     let mut post = Obs::trace();
     let mut resumed = SessionRunner::resume(cfg, &cp).expect("own checkpoint must resume");
     while !resumed.is_done() {
-        resumed.step_obs(Some(&mut post));
+        resumed.step(Some(&mut post));
     }
     let r = resumed.finish();
     assert_eq!(
@@ -178,7 +178,7 @@ fn delta_session_trace_is_byte_identical_across_kill_and_resume() {
     let mut whole = Obs::trace();
     let mut runner = SessionRunner::new(cfg.clone());
     while !runner.is_done() {
-        runner.step_obs(Some(&mut whole));
+        runner.step(Some(&mut whole));
     }
     let reference = runner.finish();
     let reference_log = whole.trace_lines().expect("trace recorder keeps lines");
@@ -189,7 +189,7 @@ fn delta_session_trace_is_byte_identical_across_kill_and_resume() {
     let mut pre = Obs::trace();
     let mut runner = SessionRunner::new(cfg.clone());
     while runner.chunk_index() < 5 {
-        runner.step_obs(Some(&mut pre));
+        runner.step(Some(&mut pre));
     }
     let bytes = runner.checkpoint().to_bytes();
     let pre_log = pre
@@ -207,7 +207,7 @@ fn delta_session_trace_is_byte_identical_across_kill_and_resume() {
     let mut post = Obs::trace();
     let mut resumed = SessionRunner::resume(cfg, &cp).expect("own checkpoint must resume");
     while !resumed.is_done() {
-        resumed.step_obs(Some(&mut post));
+        resumed.step(Some(&mut post));
     }
     let r = resumed.finish();
     assert_eq!(
