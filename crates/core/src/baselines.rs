@@ -173,11 +173,6 @@ impl HeavySr {
         self.kind
     }
 
-    /// Mutable head access for training.
-    pub fn net_mut(&mut self) -> &mut Sequential {
-        &mut self.net
-    }
-
     /// Working resolution of the conv stack.
     fn working_dims(&self) -> (usize, usize) {
         if self.kind.arch().2 {

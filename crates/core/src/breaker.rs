@@ -22,8 +22,11 @@
 //! open on the spot (a hung or pathologically oversized batch must not
 //! take the next flush down with it).
 //!
-//! Time is plain `f64` seconds — `nerve-core` sits below the clock crate,
-//! and the breaker only ever compares durations it was handed.
+//! Time is plain `f64` seconds: the breaker only ever compares durations
+//! it was handed. A [`BreakerSnapshot`] travels in the NRVF and NRVL
+//! state frames through its [`Wire`] layout.
+
+use nerve_net::bytes::{ByteReader, ByteWriter, FrameError, Wire};
 
 /// Breaker tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,6 +62,25 @@ pub enum BreakerState {
     HalfOpen,
 }
 
+/// One tag byte; an unknown tag is `BadField { field: "breaker_state" }`.
+impl Wire for BreakerState {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u8(match self {
+            BreakerState::Closed => 0,
+            BreakerState::Open => 1,
+            BreakerState::HalfOpen => 2,
+        })
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        match r.u8()? {
+            0 => Ok(BreakerState::Closed),
+            1 => Ok(BreakerState::Open),
+            2 => Ok(BreakerState::HalfOpen),
+            v => Err(FrameError::bad_field("breaker_state", v)),
+        }
+    }
+}
+
 /// Cumulative transition/action counters, surfaced through batcher and
 /// fleet reports (and folded into their determinism digests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -76,6 +98,14 @@ pub struct BreakerCounters {
     pub fast_shed: u64,
 }
 
+nerve_net::wire_record!(BreakerCounters {
+    opened,
+    half_opened,
+    closed,
+    watchdog_trips,
+    fast_shed
+});
+
 /// Serializable position of a breaker (checkpoint payload): everything
 /// mutable, nothing from the config.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,6 +116,14 @@ pub struct BreakerSnapshot {
     pub probes_issued: usize,
     pub counters: BreakerCounters,
 }
+
+nerve_net::wire_record!(BreakerSnapshot {
+    state,
+    streak,
+    opened_at_secs,
+    probes_issued,
+    counters
+});
 
 /// The breaker itself. Drive it with [`begin_flush`](Self::begin_flush) /
 /// [`allow_full`](Self::allow_full) / [`record`](Self::record); all

@@ -11,7 +11,6 @@
 //! standing in for the paper's straight-through-estimator end-to-end
 //! training).
 
-use nerve_tensor::Tensor;
 use nerve_video::frame::Frame;
 
 /// Configuration of the point-code encoder.
@@ -108,12 +107,6 @@ impl PointCode {
                 0.0
             }
         })
-    }
-
-    /// The code as a `[1,1,h,w]` tensor.
-    pub fn to_tensor(&self) -> Tensor {
-        let f = self.to_frame();
-        Tensor::from_plane(self.height, self.width, f.data().to_vec())
     }
 
     /// Serialize: 4-byte header (width, height as u16 LE) + packed bits.

@@ -81,10 +81,6 @@ impl ReedSolomon {
         self.n - self.k
     }
 
-    pub fn total_shards(&self) -> usize {
-        self.n
-    }
-
     /// Encode `k` equal-length data shards into `n` shards (the first `k`
     /// are the data, verbatim).
     pub fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, RsError> {

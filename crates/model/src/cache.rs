@@ -30,6 +30,14 @@ pub struct CacheStats {
     pub resident_bytes: u64,
 }
 
+nerve_net::wire_record!(CacheStats {
+    hits,
+    misses,
+    evictions,
+    bytes_loaded,
+    resident_bytes
+});
+
 impl CacheStats {
     /// Hit fraction over all requests (0 when idle).
     pub fn hit_rate(&self) -> f64 {
@@ -183,6 +191,12 @@ pub struct WeightCacheState {
     pub tick: u64,
     pub stats: CacheStats,
 }
+
+nerve_net::wire_record!(WeightCacheState {
+    entries,
+    tick,
+    stats
+});
 
 #[cfg(test)]
 mod tests {

@@ -19,12 +19,14 @@
 //! n × f32     per-channel additive deltas
 //! ```
 //!
-//! Like the `"NRVT"` handoff ticket and the `"NRVC"` checkpoint, decode
-//! failures are **typed errors, never panics** — the codec sits on a
-//! trust boundary and is fuzzed by `tests/fuzz_mutation.rs`.
+//! The body is [`WeightDelta`]'s hand-written [`Wire`] impl: the `u32`
+//! channel count is not the `usize` length of a generic `Vec`. Like the
+//! `"NRVT"` handoff ticket and the `"NRVC"` checkpoint, decode failures
+//! are **typed errors, never panics** — the codec sits on a trust
+//! boundary and is fuzzed by `tests/fuzz_mutation.rs`.
 
 use crate::fingerprint::HeadId;
-use nerve_net::bytes::{ByteWriter, Frame, FrameError};
+use nerve_net::bytes::{ByteReader, ByteWriter, Frame, FrameError, Wire};
 use nerve_net::integrity::crc32;
 use nerve_rng::{DetRng, Rng};
 use nerve_video::rng::{seed_for, StreamComponent};
@@ -97,46 +99,18 @@ pub struct WeightDelta {
 impl WeightDelta {
     /// Serialize into the sealed `"NRVM"` wire frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = DELTA_FRAME.writer();
-        w.u8(self.head.code());
-        w.u32(self.from_version);
-        w.u32(self.to_version);
-        w.u32(self.scales.len() as u32);
-        for s in &self.scales {
-            w.f32(*s);
-        }
-        w.seal()
+        DELTA_FRAME.encode(self)
     }
 
     /// Decode a sealed `"NRVM"` frame. Whether the delta fits the
     /// weights, adjacency included, is [`WeightDelta::apply`]'s check.
     pub fn from_bytes(bytes: &[u8]) -> Result<WeightDelta, FrameError> {
-        let mut r = DELTA_FRAME.open(bytes)?;
-        let head_code = r.u8()?;
-        let head = HeadId::from_code(head_code).ok_or(FrameError::bad_field("head", head_code))?;
-        let from_version = r.u32()?;
-        let to_version = r.u32()?;
-        let n = r.u32()?;
-        // Reads stop at the first short field, so a mutated count can
-        // neither overrun the body nor inflate the vector.
-        let scales = (0..n).map(|_| r.f32()).collect::<Result<Vec<_>, _>>()?;
-        r.finish()?;
-        Ok(WeightDelta {
-            head,
-            from_version,
-            to_version,
-            scales,
-        })
+        DELTA_FRAME.decode(bytes)
     }
 
     /// CRC of the wire frame — the value checkpoints and digests pin.
     pub fn digest(&self) -> u32 {
         crc32(&self.to_bytes())
-    }
-
-    /// Wire size of the sealed frame in bytes.
-    pub fn wire_len(&self) -> usize {
-        self.to_bytes().len()
     }
 
     /// Apply onto `weights`, enforcing adjacency, head, version, and
@@ -171,6 +145,35 @@ impl WeightDelta {
         }
         weights.version = self.to_version;
         Ok(())
+    }
+}
+
+/// Written by hand because the channel count is a `u32`, not the
+/// `usize` length of a generic `Vec`.
+impl Wire for WeightDelta {
+    fn put(&self, w: &mut ByteWriter) {
+        self.head.put(w);
+        w.u32(self.from_version);
+        w.u32(self.to_version);
+        w.u32(self.scales.len() as u32);
+        for s in &self.scales {
+            w.f32(*s);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        let head = HeadId::get(r)?;
+        let from_version = r.u32()?;
+        let to_version = r.u32()?;
+        let n = r.u32()?;
+        // Reads stop at the first short field, so a mutated count can
+        // neither overrun the body nor inflate the vector.
+        let scales = (0..n).map(|_| r.f32()).collect::<Result<Vec<_>, _>>()?;
+        Ok(WeightDelta {
+            head,
+            from_version,
+            to_version,
+            scales,
+        })
     }
 }
 

@@ -24,6 +24,7 @@
 //! is served by the generic head instead.
 
 use nerve_core::point_code::{PointCodeConfig, PointCodeEncoder};
+use nerve_net::bytes::{ByteReader, ByteWriter, FrameError, Wire};
 use nerve_video::frame::Frame;
 use nerve_video::rng::{seed_for, StreamComponent};
 use nerve_video::synth::{Category, SceneConfig, SyntheticVideo};
@@ -57,6 +58,18 @@ impl HeadId {
             }
             _ => None,
         }
+    }
+}
+
+/// The [`HeadId::code`] byte; an unknown code is
+/// `BadField { field: "head" }`.
+impl Wire for HeadId {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u8(self.code())
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        let code = r.u8()?;
+        HeadId::from_code(code).ok_or(FrameError::bad_field("head", code))
     }
 }
 

@@ -14,9 +14,24 @@
 //! crc      u32  big-endian CRC32 of everything above (crate::integrity)
 //! ```
 //!
-//! A decoder opens the frame with [`Frame::open`], reads its fields,
-//! and ends with [`ByteReader::finish`], so every way a frame can be
-//! refused is one [`FrameError`] variant.
+//! Every value in a body is one [`Wire`] impl, which writes and reads
+//! it in one place, so a reader cannot drift from its writer. The
+//! field layouts:
+//!
+//! ```text
+//! u8 u32 u64 f32 f64   little-endian (floats as their bit patterns)
+//! usize, SimTime       u64 (a time in microseconds)
+//! bool                 u8, exactly 0 or 1
+//! Option<T>            bool flag, then T when set
+//! Vec<T>               usize length, then the items
+//! [T; N], tuples       the items in order, no length
+//! ```
+//!
+//! A plain struct declares its layout once, with [`wire_record!`]: one
+//! ordered field list next to its type. Tagged enums write their own
+//! impl. A decoder opens the frame with [`Frame::open`] (or reads one
+//! value with [`Frame::decode`]), so every way a frame can be refused is
+//! one [`FrameError`] variant.
 
 use crate::clock::SimTime;
 use crate::integrity;
@@ -102,6 +117,22 @@ impl Frame {
         }
         Ok(r)
     }
+
+    /// Seal one value: the header, `value`, then the CRC32.
+    pub fn encode<T: Wire>(self, value: &T) -> Vec<u8> {
+        let mut w = self.writer();
+        value.put(&mut w);
+        w.seal()
+    }
+
+    /// Open a frame holding one value and read it, refusing any bytes
+    /// after it.
+    pub fn decode<T: Wire>(self, sealed: &[u8]) -> Result<T, FrameError> {
+        let mut r = self.open(sealed)?;
+        let value = T::get(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
 }
 
 /// Little-endian byte sink for frame fields.
@@ -147,36 +178,6 @@ impl ByteWriter {
     /// Exact `f32` round trip via the bit pattern.
     pub fn f32(&mut self, v: f32) {
         self.u32(v.to_bits());
-    }
-
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-        }
-    }
-
-    pub fn opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.usize(x);
-            }
-        }
-    }
-
-    pub fn time(&mut self, t: SimTime) {
-        self.u64(t.as_micros());
-    }
-
-    /// Length-prefixed raw blob (pairs with [`ByteReader::blob`]).
-    pub fn blob(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
     }
 
     /// The accumulated bytes.
@@ -250,32 +251,6 @@ impl<'a> ByteReader<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, FrameError> {
-        Ok(if self.bool()? {
-            Some(self.f64()?)
-        } else {
-            None
-        })
-    }
-
-    pub fn opt_usize(&mut self) -> Result<Option<usize>, FrameError> {
-        Ok(if self.bool()? {
-            Some(self.usize()?)
-        } else {
-            None
-        })
-    }
-
-    pub fn time(&mut self) -> Result<SimTime, FrameError> {
-        Ok(SimTime::from_micros(self.u64()?))
-    }
-
-    /// Length-prefixed raw blob (pairs with [`ByteWriter::blob`]).
-    pub fn blob(&mut self) -> Result<&'a [u8], FrameError> {
-        let n = self.usize()?;
-        self.take(n)
-    }
-
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
@@ -288,6 +263,134 @@ impl<'a> ByteReader<'a> {
             n => Err(FrameError::TrailingBytes(n)),
         }
     }
+}
+
+/// One value's wire layout: `put` appends it, `get` reads it back.
+/// Writer and reader sit in one impl, so every value `get` accepts
+/// re-encodes to the bytes it was read from.
+pub trait Wire: Sized {
+    fn put(&self, w: &mut ByteWriter);
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError>;
+}
+
+macro_rules! wire_scalar {
+    ($($t:ident),+) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut ByteWriter) {
+                w.$t(*self)
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+                r.$t()
+            }
+        }
+    )+};
+}
+
+wire_scalar!(u8, u32, u64, usize, bool, f32, f64);
+
+impl Wire for SimTime {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u64(self.as_micros())
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        Ok(SimTime::from_micros(r.u64()?))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.usize(self.len());
+        for v in self {
+            v.put(w);
+        }
+    }
+    /// The length comes from the frame and may be forged, so the
+    /// preallocation is capped at the body bytes left; a length past
+    /// the body ends in `Truncated` at the first short item.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        let n = r.usize()?;
+        let mut out = Vec::with_capacity(n.min(r.remaining() / size_of::<T>().max(1)));
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    fn put(&self, w: &mut ByteWriter) {
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = T::get(r)?;
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            #[allow(non_snake_case)]
+            fn put(&self, w: &mut ByteWriter) {
+                let ($($t,)+) = self;
+                $($t.put(w);)+
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    };
+}
+
+wire_tuple!(A, B);
+wire_tuple!(A, B, C);
+
+/// Implement [`Wire`] for a plain struct from one ordered field list:
+/// the fields are written and read in the listed order, each with its
+/// own type's layout. The list must name every field, exactly once.
+///
+/// ```
+/// # use nerve_net::wire_record;
+/// struct Bucket {
+///     tokens: f64,
+///     refills: u64,
+/// }
+/// wire_record!(Bucket { tokens, refills });
+/// ```
+#[macro_export]
+macro_rules! wire_record {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::bytes::Wire for $ty {
+            fn put(&self, w: &mut $crate::bytes::ByteWriter) {
+                let Self { $($field),+ } = self;
+                $($crate::bytes::Wire::put($field, w);)+
+            }
+            fn get(
+                r: &mut $crate::bytes::ByteReader<'_>,
+            ) -> Result<Self, $crate::bytes::FrameError> {
+                Ok(Self {
+                    $($field: $crate::bytes::Wire::get(r)?),+
+                })
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -305,11 +408,7 @@ mod tests {
         w.bool(true);
         w.f64(-0.062_5);
         w.f32(1.5);
-        w.opt_f64(None);
-        w.opt_f64(Some(3.25));
-        w.opt_usize(Some(7));
-        w.opt_usize(None);
-        w.time(SimTime::from_micros(48_250_001));
+        SimTime::from_micros(48_250_001).put(&mut w);
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
@@ -321,12 +420,121 @@ mod tests {
         assert!(r.bool().unwrap());
         assert_eq!(r.f64().unwrap(), -0.062_5);
         assert_eq!(r.f32().unwrap(), 1.5);
-        assert_eq!(r.opt_f64().unwrap(), None);
-        assert_eq!(r.opt_f64().unwrap(), Some(3.25));
-        assert_eq!(r.opt_usize().unwrap(), Some(7));
-        assert_eq!(r.opt_usize().unwrap(), None);
-        assert_eq!(r.time().unwrap(), SimTime::from_micros(48_250_001));
+        assert_eq!(SimTime::get(&mut r), Ok(SimTime::from_micros(48_250_001)));
         assert_eq!(r.remaining(), 0);
+    }
+
+    type Sample = (
+        (Option<f64>, Option<f64>, (Option<usize>, Option<SimTime>)),
+        (Vec<f64>, Vec<Vec<u8>>, [u64; 4]),
+        (Vec<(usize, f64)>, (u8, u32, bool)),
+    );
+
+    fn sample() -> Sample {
+        (
+            (None, Some(3.25), (Some(7), Some(SimTime::from_micros(9)))),
+            (
+                vec![4_400.0, 1_600.5],
+                vec![vec![1, 2, 3], vec![]],
+                [40, 9, 3, 0],
+            ),
+            (vec![(2, 3.4)], (7, 4, true)),
+        )
+    }
+
+    /// The generic layouts write exactly the bytes of the hand-written
+    /// calls they replaced: a flag then the value, a `usize` length then
+    /// the items (a byte vector is the old length-prefixed blob), and
+    /// array and tuple items in order with no length.
+    #[test]
+    fn generic_layouts_write_the_hand_written_bytes() {
+        let mut old = ByteWriter::new();
+        old.u8(0);
+        old.u8(1);
+        old.f64(3.25);
+        old.u8(1);
+        old.usize(7);
+        old.bool(true);
+        old.u64(9);
+        old.usize(2);
+        old.f64(4_400.0);
+        old.f64(1_600.5);
+        old.usize(2);
+        old.usize(3);
+        for b in [1, 2, 3] {
+            old.u8(b);
+        }
+        old.usize(0);
+        for d in [40, 9, 3, 0] {
+            old.u64(d);
+        }
+        old.usize(1);
+        old.usize(2);
+        old.f64(3.4);
+        old.u8(7);
+        old.u32(4);
+        old.bool(true);
+        let old = old.into_bytes();
+
+        let mut w = ByteWriter::new();
+        sample().put(&mut w);
+        assert_eq!(w.into_bytes(), old);
+        let mut r = ByteReader::new(&old);
+        assert_eq!(Sample::get(&mut r), Ok(sample()));
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    /// Records the largest single allocation the calling thread makes,
+    /// so a test can bound what a decode reserved.
+    mod alloc_probe {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            pub static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        struct Probe;
+
+        // SAFETY: every call is forwarded unchanged to the system
+        // allocator; the probe only records sizes in a const-initialized
+        // thread-local with no destructor, which neither allocates nor
+        // fails.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                LARGEST.with(|m| m.set(m.get().max(layout.size())));
+                System.alloc(layout)
+            }
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+        }
+
+        #[global_allocator]
+        static PROBE: Probe = Probe;
+    }
+
+    /// A forged length far past the body reserves no more than the body
+    /// and ends in `Truncated` at the first missing item.
+    #[test]
+    fn forged_vec_length_is_truncated_without_a_large_reservation() {
+        let mut w = ByteWriter::new();
+        w.usize(1 << 60);
+        w.u64(0);
+        w.u64(0);
+        let body = w.into_bytes();
+        for probe in [
+            |r: &mut ByteReader<'_>| Vec::<u64>::get(r).map(drop),
+            |r: &mut ByteReader<'_>| Vec::<u8>::get(r).map(drop),
+            |r: &mut ByteReader<'_>| Vec::<(u64, bool)>::get(r).map(drop),
+        ] {
+            let mut r = ByteReader::new(&body);
+            alloc_probe::LARGEST.with(|m| m.set(0));
+            let got = probe(&mut r);
+            let largest = alloc_probe::LARGEST.with(|m| m.get());
+            assert_eq!(got, Err(FrameError::Truncated));
+            assert!(largest <= body.len(), "reserved {largest} bytes");
+        }
     }
 
     const FRAME: Frame = Frame {
@@ -398,9 +606,16 @@ mod tests {
         let mut r = ByteReader::new(&[]);
         assert_eq!(r.u8(), Err(FrameError::Truncated));
         // Flags and option tags accept only their canonical bytes.
-        let mut r = ByteReader::new(&[2, 1, 3]);
-        assert_eq!(r.bool(), Err(FrameError::bad_field("bool", 2u8)));
-        assert_eq!(r.bool(), Ok(true));
-        assert_eq!(r.opt_usize(), Err(FrameError::bad_field("bool", 3u8)));
+        let mut r = ByteReader::new(&[2, 1, 3, 2]);
+        assert_eq!(bool::get(&mut r), Err(FrameError::bad_field("bool", 2u8)));
+        assert_eq!(bool::get(&mut r), Ok(true));
+        assert_eq!(
+            Option::<usize>::get(&mut r),
+            Err(FrameError::bad_field("bool", 3u8))
+        );
+        assert_eq!(
+            Option::<f64>::get(&mut r),
+            Err(FrameError::bad_field("bool", 2u8))
+        );
     }
 }

@@ -318,15 +318,6 @@ impl FaultPlan {
         })
     }
 
-    /// Constant extra one-way delay on the downlink only.
-    pub fn downlink_delay(self, at: SimTime, duration: SimTime, extra: SimTime) -> Self {
-        self.fault(Fault::DirDelay {
-            dir: Direction::Downlink,
-            window: FaultWindow::new(at, duration),
-            extra,
-        })
-    }
-
     /// Set the fraction of corrupted deliveries that beat the checksum
     /// (classified [`Corruption::Residual`] instead of
     /// [`Corruption::Detected`]).

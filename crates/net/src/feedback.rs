@@ -74,6 +74,13 @@ pub struct FeedbackStats {
     pub delivered: u64,
 }
 
+crate::wire_record!(FeedbackStats {
+    nack_sent,
+    fir_sent,
+    lost,
+    delivered
+});
+
 /// Serializable position of a feedback channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeedbackState {

@@ -59,6 +59,12 @@ pub struct JitterState {
     pub playout_delay_secs: f64,
 }
 
+crate::wire_record!(JitterState {
+    jitter_secs,
+    last_transit_secs,
+    playout_delay_secs
+});
+
 /// The adaptive jitter buffer.
 #[derive(Debug, Clone)]
 pub struct JitterBuffer {

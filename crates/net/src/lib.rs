@@ -30,8 +30,10 @@
 //! * [`integrity`] — dependency-free CRC32 payload framing shared by
 //!   every wire format in the workspace; detected corruption becomes an
 //!   erasure instead of rendered garbage.
-//! * [`bytes`] — the little-endian field codec under that framing
-//!   (checkpoints, handoff tickets).
+//! * [`bytes`] — the sealed state frame, the little-endian field codec
+//!   under it, and the [`bytes::Wire`] trait with which every state
+//!   record declares its layout once (checkpoints, handoff tickets,
+//!   weight deltas).
 //! * [`error`] — structured validation errors replacing hot-path asserts.
 
 pub mod bytes;

@@ -6,7 +6,7 @@
 //! GE model is parameterized by target average loss rate and mean burst
 //! length, from which the state transition probabilities follow.
 
-use crate::bytes::{ByteReader, ByteWriter, FrameError};
+use crate::bytes::FrameError;
 use crate::clock::SimTime;
 use crate::error::NetError;
 use nerve_rng::{Rng, StdRng};
@@ -47,25 +47,9 @@ pub struct LossState {
     pub bad: bool,
 }
 
-impl LossState {
-    /// The cursor as it sits in every state frame that carries one:
-    /// seed, draws, then the chain-state flag.
-    pub fn write(&self, w: &mut ByteWriter) {
-        w.u64(self.seed);
-        w.u64(self.draws);
-        w.bool(self.bad);
-    }
-
-    /// Read a cursor written by [`LossState::write`]. The cursor is not
-    /// checked here; a restore refuses one that does not replay.
-    pub fn read(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
-        Ok(Self {
-            seed: r.u64()?,
-            draws: r.u64()?,
-            bad: r.bool()?,
-        })
-    }
-}
+// The cursor is not checked on read; a restore refuses one that does
+// not replay.
+crate::wire_record!(LossState { seed, draws, bad });
 
 /// The longest cursor a restore replays. A restore replays every draw,
 /// so the bound keeps a forged cursor from stalling it; 2^24 packets is

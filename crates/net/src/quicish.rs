@@ -64,6 +64,17 @@ pub struct StreamStats {
     pub residual_corrupted: u64,
 }
 
+crate::wire_record!(StreamStats {
+    packets_sent,
+    packets_lost_first_tx,
+    retransmissions,
+    residual_losses,
+    reordered,
+    duplicates,
+    crc_dropped,
+    residual_corrupted
+});
+
 impl StreamStats {
     /// First-transmission loss rate.
     pub fn first_tx_loss_rate(&self) -> f64 {
@@ -236,6 +247,8 @@ pub struct QuicState {
     pub seq: u64,
     pub stats: StreamStats,
 }
+
+crate::wire_record!(QuicState { cursor, seq, stats });
 
 #[cfg(test)]
 mod tests {

@@ -94,6 +94,14 @@ pub struct ChannelStats {
     pub crc_detected: u64,
 }
 
+crate::wire_record!(ChannelStats {
+    messages,
+    retransmissions,
+    expired,
+    corrupted,
+    crc_detected
+});
+
 /// A reliable in-order message channel over a lossy link.
 pub struct ReliableChannel<L: LossModel> {
     link: Link,
@@ -323,6 +331,14 @@ pub struct ChannelState {
     pub retransmissions: u64,
     pub rtt: RttState,
 }
+
+crate::wire_record!(ChannelState {
+    last_delivery,
+    seq,
+    stats,
+    retransmissions,
+    rtt
+});
 
 #[cfg(test)]
 mod tests {

@@ -78,6 +78,8 @@ pub struct RttState {
     pub rttvar: f64,
 }
 
+crate::wire_record!(RttState { srtt, rttvar });
+
 impl Default for RttEstimator {
     fn default() -> Self {
         Self::new()

@@ -242,24 +242,6 @@ impl NetworkTrace {
     }
 }
 
-/// Convenience alias used by experiments.
-pub struct TraceGenerator;
-
-impl TraceGenerator {
-    /// All four populations, keyed by kind, with the paper's trace counts.
-    pub fn table2_populations(base_seed: u64) -> Vec<(NetworkKind, Vec<NetworkTrace>)> {
-        NetworkKind::ALL
-            .iter()
-            .map(|&k| {
-                (
-                    k,
-                    NetworkTrace::population(k, base_seed ^ ((k as u64 + 1) * 0x9E37)),
-                )
-            })
-            .collect()
-    }
-}
-
 /// Population statistics (for validating against Table 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationStats {

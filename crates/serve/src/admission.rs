@@ -106,6 +106,11 @@ pub struct TokenBucketState {
     pub last_refill: SimTime,
 }
 
+nerve_net::wire_record!(TokenBucketState {
+    tokens,
+    last_refill
+});
+
 /// Resource budgets for the admission controller.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
@@ -249,6 +254,14 @@ pub struct AdmissionState {
     pub downgraded: usize,
     pub rejected: usize,
 }
+
+nerve_net::wire_record!(AdmissionState {
+    bw,
+    macs,
+    accepted,
+    downgraded,
+    rejected
+});
 
 #[cfg(test)]
 mod tests {

@@ -28,6 +28,7 @@ use nerve_core::{
     BreakerConfig, BreakerCounters, BreakerState, CircuitBreaker, DegradationLadder,
     DegradationRung,
 };
+use nerve_net::bytes::{ByteReader, ByteWriter, FrameError, Wire};
 use nerve_net::clock::SimTime;
 use nerve_obs::{Counter, Histogram, Registry};
 use nerve_rng::{DetRng, Rng};
@@ -42,6 +43,22 @@ pub enum JobKind {
     Recovery,
     /// On-time frame with slack: super-resolution head.
     Sr,
+}
+
+impl Wire for JobKind {
+    fn put(&self, w: &mut ByteWriter) {
+        w.u8(match self {
+            JobKind::Recovery => 0,
+            JobKind::Sr => 1,
+        })
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        match r.u8()? {
+            0 => Ok(JobKind::Recovery),
+            1 => Ok(JobKind::Sr),
+            v => Err(FrameError::bad_field("job_kind", v)),
+        }
+    }
 }
 
 /// One frame's worth of enhancement work, queued by a session.
@@ -59,6 +76,16 @@ pub struct InferenceJob {
     /// Absolute playout deadline.
     pub deadline: SimTime,
 }
+
+nerve_net::wire_record!(InferenceJob {
+    session,
+    chunk,
+    frame,
+    kind,
+    rung,
+    chain,
+    deadline
+});
 
 /// What the server did with one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,6 +165,25 @@ impl ServerModel {
         ConvSpec::same(self.in_channels, self.out_channels, self.kernel)
     }
 
+    /// The backbone's weights, He-scaled uniform draws from the stream
+    /// `seed`: deterministic, so every run and every resume of a server
+    /// holds the same bits.
+    pub fn backbone_weight(&self, seed: u64) -> Tensor {
+        let spec = self.spec();
+        let mut rng = DetRng::new(seed);
+        let wlen = spec.out_channels * spec.in_channels * spec.kernel * spec.kernel;
+        let scale = (2.0 / (spec.in_channels * spec.kernel * spec.kernel) as f32).sqrt();
+        Tensor::from_vec(
+            spec.out_channels,
+            spec.in_channels,
+            spec.kernel,
+            spec.kernel,
+            (0..wlen)
+                .map(|_| rng.random_range(-1.0f32..1.0) * scale)
+                .collect(),
+        )
+    }
+
     /// MACs of one full forward pass at the top rung.
     pub fn macs_per_job(&self) -> f64 {
         // flops counts 2 ops per MAC.
@@ -205,6 +251,15 @@ pub struct BatcherStats {
     /// batcher runs without a breaker).
     pub breaker: BreakerCounters,
 }
+
+nerve_net::wire_record!(BatcherStats {
+    batches,
+    full,
+    warp_only,
+    shed,
+    occupancy,
+    breaker
+});
 
 /// Registry handles for every metric the batcher maintains. Bound once
 /// at construction (or re-bound by
@@ -275,24 +330,11 @@ impl InferenceBatcher {
     /// `input_seeds[s]` seeds session `s`'s synthetic input features
     /// (derive them with `rng::seed_for(fleet_seed, s, Inference)`).
     pub fn new(model: ServerModel, ladder_kbps: Vec<u32>, input_seeds: Vec<u64>) -> Self {
-        let spec = model.spec();
-        // Deterministic backbone weights: the same fleet seed everywhere
-        // would also work, but weights are part of the *server*, not of
-        // any session, so a fixed stream keeps them stable across fleet
-        // configurations.
-        let mut rng = DetRng::new(0x5EED_BA7C_4E55_0001);
-        let wlen = spec.out_channels * spec.in_channels * spec.kernel * spec.kernel;
-        let scale = (2.0 / (spec.in_channels * spec.kernel * spec.kernel) as f32).sqrt();
-        let weight = Tensor::from_vec(
-            spec.out_channels,
-            spec.in_channels,
-            spec.kernel,
-            spec.kernel,
-            (0..wlen)
-                .map(|_| rng.random_range(-1.0f32..1.0) * scale)
-                .collect(),
-        );
-        let bias = vec![0.0; spec.out_channels];
+        // The same fleet seed everywhere would also work, but weights are
+        // part of the *server*, not of any session, so a fixed stream
+        // keeps them stable across fleet configurations.
+        let weight = model.backbone_weight(0x5EED_BA7C_4E55_0001);
+        let bias = vec![0.0; model.out_channels];
         let registry = Registry::new();
         let metrics = BatcherMetrics::bind(&registry);
         Self {

@@ -24,6 +24,7 @@
 //! instant). This is the classic calendar-queue trick that avoids
 //! deleting superseded heap entries.
 
+use nerve_net::bytes::{ByteReader, ByteWriter, FrameError, Wire};
 use nerve_net::clock::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,12 +52,57 @@ pub enum EventKind {
     Tick,
 }
 
+/// A tag byte, then the variant's field.
+impl Wire for EventKind {
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            EventKind::Restart => w.u8(0),
+            EventKind::Arrive { session } => {
+                w.u8(1);
+                w.usize(session);
+            }
+            EventKind::Crash { session } => {
+                w.u8(2);
+                w.usize(session);
+            }
+            EventKind::Wake { session } => {
+                w.u8(3);
+                w.usize(session);
+            }
+            EventKind::Completion { gen } => {
+                w.u8(4);
+                w.u64(gen);
+            }
+            EventKind::Tick => w.u8(5),
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        Ok(match r.u8()? {
+            0 => EventKind::Restart,
+            1 => EventKind::Arrive {
+                session: r.usize()?,
+            },
+            2 => EventKind::Crash {
+                session: r.usize()?,
+            },
+            3 => EventKind::Wake {
+                session: r.usize()?,
+            },
+            4 => EventKind::Completion { gen: r.u64()? },
+            5 => EventKind::Tick,
+            v => return Err(FrameError::bad_field("event_kind", v)),
+        })
+    }
+}
+
 /// One scheduled instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Event {
     pub at: SimTime,
     pub kind: EventKind,
 }
+
+nerve_net::wire_record!(Event { at, kind });
 
 /// A deterministic min-heap of [`Event`]s.
 #[derive(Default)]

@@ -133,6 +133,13 @@ pub struct HealthCounters {
     pub recovered: u64,
 }
 
+nerve_net::wire_record!(HealthCounters {
+    suspected,
+    died,
+    probations,
+    recovered
+});
+
 /// Per-server probe-driven health machine.
 ///
 /// Legal transitions (asserted by the model-based tests):
@@ -457,6 +464,17 @@ pub struct ServerFailureCounters {
     pub jobs_failed: usize,
 }
 
+nerve_net::wire_record!(ServerFailureCounters {
+    failures,
+    rejoins,
+    evac_out,
+    evac_in,
+    evac_warp,
+    evac_freeze,
+    evac_stall,
+    jobs_failed
+});
+
 /// The invariant checker's verdict, accumulated over the run. It counts
 /// only checks that every build runs (per-event settle and evacuation
 /// checks, and the fleet's conservation and job-accounting checks at
@@ -471,6 +489,8 @@ pub struct InvariantReport {
     pub violations: u64,
 }
 
+nerve_net::wire_record!(InvariantReport { checks, violations });
+
 impl InvariantReport {
     pub fn absorb(&mut self, other: InvariantReport) {
         self.checks += other.checks;
@@ -478,15 +498,12 @@ impl InvariantReport {
     }
 }
 
-/// Nearest-rank percentile of an unsorted sample (0 when empty).
+/// Nearest-rank percentile (`p` in percent) of an unsorted sample, 0
+/// when empty: [`nerve_obs::percentile_nearest_rank`] on a sorted copy.
 pub fn percentile_nearest_rank(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
     let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
-    v[rank.clamp(1, v.len()) - 1]
+    v.sort_by(f64::total_cmp);
+    nerve_obs::percentile_nearest_rank(&v, p / 100.0).unwrap_or(0.0)
 }
 
 #[cfg(test)]

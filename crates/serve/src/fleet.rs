@@ -168,6 +168,15 @@ pub struct SessionModel {
     pub rejected: usize,
 }
 
+nerve_net::wire_record!(SessionModel {
+    head,
+    confidence,
+    category,
+    version,
+    applied,
+    rejected
+});
+
 /// Fleet-wide model-plane aggregate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetModelStats {
@@ -343,6 +352,17 @@ pub struct SessionCounters {
     /// Evacuations this session rode (fail-stop → ticket → new server).
     pub evacuations: usize,
 }
+
+nerve_net::wire_record!(SessionCounters {
+    jobs,
+    full,
+    degraded,
+    sr_skipped,
+    freezes,
+    crashes,
+    failed_in_flight,
+    evacuations
+});
 
 /// One session's slice of the fleet outcome.
 #[derive(Debug, Clone)]

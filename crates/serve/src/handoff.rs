@@ -3,8 +3,11 @@
 //! A ticket is the complete serialized state of one resident session,
 //! sealed like the sim-side session checkpoint (`nerve-sim::checkpoint`)
 //! in [`nerve_net::bytes::Frame`]: magic/version header, little-endian
-//! body, CRC32 trailer. The fleet's digest-identity contract rests on
-//! two properties enforced here:
+//! body, CRC32 trailer. The body is a sequence of
+//! [`nerve_net::bytes::Wire`] values read back in the same order, not a
+//! record of its own, because `SessionState` also holds derived state
+//! that never travels (below). The fleet's digest-identity contract
+//! rests on two properties enforced here:
 //!
 //! * **Round-trip identity.** `decode(encode(s))` reproduces `s` exactly
 //!   (floats travel as bit patterns, the loss chain as a replayable
@@ -16,11 +19,11 @@
 //!   the destination reconstructs the rest, so a ticket cannot smuggle
 //!   in state that disagrees with the fleet configuration.
 
-use crate::fleet::{ClientClass, FleetConfig, SessionCounters, SessionModel};
+use crate::fleet::{ClientClass, FleetConfig, SessionModel};
 use crate::server::{make_abr, session_fault_plans, ChunkAcc, Phase, SessionState};
 use nerve_abr::qoe::QualityMaps;
 use nerve_abr::{AbrContext, CappedAbr};
-use nerve_net::bytes::{Frame, FrameError};
+use nerve_net::bytes::{Frame, FrameError, Wire};
 use nerve_net::loss::{GilbertElliott, LossModel, LossState};
 
 /// The handoff ticket frame: magic `"NRVT"` (NERVE ticket), version 3.
@@ -33,89 +36,34 @@ pub const TICKET_FRAME: Frame = Frame {
     version: 3,
 };
 
-/// Serialize one session into a sealed ticket.
+/// Serialize one session into a sealed ticket. Each field is one
+/// [`Wire`] value, in the order [`decode_session`] reads them back.
 pub(crate) fn encode_session(id: usize, s: &SessionState) -> Vec<u8> {
     let mut w = TICKET_FRAME.writer();
-    w.usize(id);
-    w.opt_usize(s.cap);
-    w.bool(s.rejected);
-    w.bool(s.admitted);
-    match s.phase {
-        Phase::Waiting { until } => {
-            w.u8(0);
-            w.time(until);
-        }
-        Phase::Downloading {
-            rung,
-            bytes_left,
-            bytes_total,
-            started,
-            buffer_at_start,
-        } => {
-            w.u8(1);
-            w.usize(rung);
-            w.f64(bytes_left);
-            w.f64(bytes_total);
-            w.time(started);
-            w.f64(buffer_at_start);
-        }
-        Phase::Done => w.u8(2),
-    }
-    w.f64(s.buffer_secs);
-    w.time(s.buffer_asof);
-    w.usize(s.chunk_idx);
-    s.loss.state().write(&mut w);
-    w.usize(s.chain);
-    w.usize(s.rung_sum);
-    w.usize(s.counters.jobs);
-    w.usize(s.counters.full);
-    w.usize(s.counters.degraded);
-    w.usize(s.counters.sr_skipped);
-    w.usize(s.counters.freezes);
-    w.usize(s.counters.crashes);
-    w.usize(s.counters.failed_in_flight);
-    w.usize(s.counters.evacuations);
-    w.f32(s.checksum);
-    w.f64(s.rebuffer_total);
-    w.usize(s.ctx.last_choice);
-    w.f64(s.ctx.buffer_secs);
-    w.usize(s.ctx.throughput_kbps.len());
-    for &v in &s.ctx.throughput_kbps {
-        w.f64(v);
-    }
-    w.usize(s.ctx.loss_rates.len());
-    for &v in &s.ctx.loss_rates {
-        w.f64(v);
-    }
-    w.usize(s.chunks.len());
-    for c in &s.chunks {
-        w.bool(c.started);
-        w.usize(c.rung);
-        w.usize(c.frames);
-        w.usize(c.resolved);
-        w.f64(c.psnr_sum);
-        w.f64(c.rebuffer_secs);
-    }
-    w.usize(s.crashes.len());
-    for &(at, down) in &s.crashes {
-        w.f64(at);
-        w.f64(down);
-    }
+    id.put(&mut w);
+    s.cap.put(&mut w);
+    s.rejected.put(&mut w);
+    s.admitted.put(&mut w);
+    s.phase.put(&mut w);
+    s.buffer_secs.put(&mut w);
+    s.buffer_asof.put(&mut w);
+    s.chunk_idx.put(&mut w);
+    s.loss.state().put(&mut w);
+    s.chain.put(&mut w);
+    s.rung_sum.put(&mut w);
+    s.counters.put(&mut w);
+    s.checksum.put(&mut w);
+    s.rebuffer_total.put(&mut w);
+    s.ctx.last_choice.put(&mut w);
+    s.ctx.buffer_secs.put(&mut w);
+    s.ctx.throughput_kbps.put(&mut w);
+    s.ctx.loss_rates.put(&mut w);
+    s.chunks.put(&mut w);
+    s.crashes.put(&mut w);
     // Model-plane block: dynamic state (which head, how many deltas
     // landed), so it travels — re-probing at the destination would both
     // repeat the fingerprint cost and risk a divergent assignment.
-    match s.model {
-        None => w.u8(0),
-        Some(m) => {
-            w.u8(1);
-            w.u8(m.head);
-            w.f64(m.confidence);
-            w.u8(m.category);
-            w.u32(m.version);
-            w.usize(m.applied);
-            w.usize(m.rejected);
-        }
-    }
+    s.model.put(&mut w);
     w.seal()
 }
 
@@ -127,81 +75,27 @@ pub(crate) fn decode_session(
     ticket: &[u8],
 ) -> Result<(usize, SessionState), FrameError> {
     let mut r = TICKET_FRAME.open(ticket)?;
-    let id = r.usize()?;
-    let cap = r.opt_usize()?;
-    let rejected = r.bool()?;
-    let admitted = r.bool()?;
-    let phase = match r.u8()? {
-        0 => Phase::Waiting { until: r.time()? },
-        1 => Phase::Downloading {
-            rung: r.usize()?,
-            bytes_left: r.f64()?,
-            bytes_total: r.f64()?,
-            started: r.time()?,
-            buffer_at_start: r.f64()?,
-        },
-        2 => Phase::Done,
-        tag => return Err(FrameError::bad_field("phase", tag)),
-    };
-    let buffer_secs = r.f64()?;
-    let buffer_asof = r.time()?;
-    let chunk_idx = r.usize()?;
-    let loss_state = LossState::read(&mut r)?;
-    let chain = r.usize()?;
-    let rung_sum = r.usize()?;
-    let counters = SessionCounters {
-        jobs: r.usize()?,
-        full: r.usize()?,
-        degraded: r.usize()?,
-        sr_skipped: r.usize()?,
-        freezes: r.usize()?,
-        crashes: r.usize()?,
-        failed_in_flight: r.usize()?,
-        evacuations: r.usize()?,
-    };
-    let checksum = r.f32()?;
-    let rebuffer_total = r.f64()?;
-    let last_choice = r.usize()?;
-    let ctx_buffer = r.f64()?;
-    let n_tput = r.usize()?;
-    let mut throughput_kbps = Vec::with_capacity(n_tput.min(1024));
-    for _ in 0..n_tput {
-        throughput_kbps.push(r.f64()?);
-    }
-    let n_loss = r.usize()?;
-    let mut loss_rates = Vec::with_capacity(n_loss.min(1024));
-    for _ in 0..n_loss {
-        loss_rates.push(r.f64()?);
-    }
-    let n_chunks = r.usize()?;
-    let mut chunks = Vec::with_capacity(n_chunks.min(1 << 20));
-    for _ in 0..n_chunks {
-        chunks.push(ChunkAcc {
-            started: r.bool()?,
-            rung: r.usize()?,
-            frames: r.usize()?,
-            resolved: r.usize()?,
-            psnr_sum: r.f64()?,
-            rebuffer_secs: r.f64()?,
-        });
-    }
-    let n_crashes = r.usize()?;
-    let mut crashes = Vec::with_capacity(n_crashes.min(1 << 20));
-    for _ in 0..n_crashes {
-        crashes.push((r.f64()?, r.f64()?));
-    }
-    let model = match r.u8()? {
-        0 => None,
-        1 => Some(SessionModel {
-            head: r.u8()?,
-            confidence: r.f64()?,
-            category: r.u8()?,
-            version: r.u32()?,
-            applied: r.usize()?,
-            rejected: r.usize()?,
-        }),
-        tag => return Err(FrameError::bad_field("model", tag)),
-    };
+    let id = usize::get(&mut r)?;
+    let cap = Wire::get(&mut r)?;
+    let rejected = Wire::get(&mut r)?;
+    let admitted = Wire::get(&mut r)?;
+    let phase = Wire::get(&mut r)?;
+    let buffer_secs = Wire::get(&mut r)?;
+    let buffer_asof = Wire::get(&mut r)?;
+    let chunk_idx = Wire::get(&mut r)?;
+    let loss_state = LossState::get(&mut r)?;
+    let chain = Wire::get(&mut r)?;
+    let rung_sum = Wire::get(&mut r)?;
+    let counters = Wire::get(&mut r)?;
+    let checksum = Wire::get(&mut r)?;
+    let rebuffer_total = Wire::get(&mut r)?;
+    let last_choice = Wire::get(&mut r)?;
+    let ctx_buffer = Wire::get(&mut r)?;
+    let throughput_kbps = Wire::get(&mut r)?;
+    let loss_rates = Wire::get(&mut r)?;
+    let chunks = Wire::get(&mut r)?;
+    let crashes = Wire::get(&mut r)?;
+    let model = Wire::get(&mut r)?;
     r.finish()?;
 
     // Derived state: rebuilt, never transported.

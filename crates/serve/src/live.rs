@@ -77,6 +77,13 @@ pub struct FirLimiterState {
     pub ratelimited: u64,
 }
 
+nerve_net::wire_record!(FirLimiterState {
+    bucket,
+    requested,
+    granted,
+    ratelimited
+});
+
 impl FirLimiter {
     pub fn new(cfg: FirLimiterConfig) -> Self {
         Self {
@@ -155,6 +162,13 @@ pub struct LiveServerCounters {
     pub keyframes_encoded: u64,
 }
 
+nerve_net::wire_record!(LiveServerCounters {
+    nack_served,
+    nack_shed,
+    fir_batches,
+    keyframes_encoded
+});
+
 /// One granted keyframe, produced by a coalesced encode.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyframeEncode {
@@ -177,6 +191,13 @@ pub struct LiveServerState {
     pub checksum_acc: f64,
 }
 
+nerve_net::wire_record!(LiveServerState {
+    limiter,
+    breaker,
+    counters,
+    checksum_acc
+});
+
 /// The live edge server: FIR limiter + coalesced keyframe encoder +
 /// breaker-gated NACK service.
 #[derive(Debug, Clone)]
@@ -198,24 +219,11 @@ pub struct LiveServer {
 
 impl LiveServer {
     pub fn new(cfg: &LiveServerConfig, input_seeds: Vec<u64>) -> Self {
-        let spec = cfg.model.spec();
-        let mut rng = DetRng::new(0x5EED_11FE_0001);
-        let wlen = spec.out_channels * spec.in_channels * spec.kernel * spec.kernel;
-        let scale = (2.0 / (spec.in_channels * spec.kernel * spec.kernel) as f32).sqrt();
-        let weight = Tensor::from_vec(
-            spec.out_channels,
-            spec.in_channels,
-            spec.kernel,
-            spec.kernel,
-            (0..wlen)
-                .map(|_| rng.random_range(-1.0f32..1.0) * scale)
-                .collect(),
-        );
         Self {
-            bias: vec![0.0; spec.out_channels],
+            bias: vec![0.0; cfg.model.out_channels],
             model: cfg.model.clone(),
             keyframe_cost_factor: cfg.keyframe_cost_factor,
-            weight,
+            weight: cfg.model.backbone_weight(0x5EED_11FE_0001),
             input_seeds,
             limiter: FirLimiter::new(cfg.limiter),
             breaker: CircuitBreaker::new(cfg.breaker),

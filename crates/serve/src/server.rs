@@ -51,6 +51,7 @@ use nerve_model::cache::{CacheStats, WeightCache, WeightCacheState};
 use nerve_model::delta::{delta_for, weights_at, DeltaError, WeightDelta};
 use nerve_model::fingerprint::{Classifier, Fingerprint, HeadId};
 use nerve_model::{artifact_bytes, specialist_uplift_db};
+use nerve_net::bytes::{ByteReader, ByteWriter, FrameError, Wire};
 use nerve_net::clock::SimTime;
 use nerve_net::faults::FaultPlan;
 use nerve_net::loss::{GilbertElliott, LossModel};
@@ -76,6 +77,49 @@ pub(crate) enum Phase {
     Done,
 }
 
+/// A tag byte, then the variant's fields.
+impl Wire for Phase {
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            Phase::Waiting { until } => {
+                w.u8(0);
+                until.put(w);
+            }
+            Phase::Downloading {
+                rung,
+                bytes_left,
+                bytes_total,
+                started,
+                buffer_at_start,
+            } => {
+                w.u8(1);
+                w.usize(rung);
+                w.f64(bytes_left);
+                w.f64(bytes_total);
+                started.put(w);
+                w.f64(buffer_at_start);
+            }
+            Phase::Done => w.u8(2),
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        Ok(match r.u8()? {
+            0 => Phase::Waiting {
+                until: SimTime::get(r)?,
+            },
+            1 => Phase::Downloading {
+                rung: r.usize()?,
+                bytes_left: r.f64()?,
+                bytes_total: r.f64()?,
+                started: SimTime::get(r)?,
+                buffer_at_start: r.f64()?,
+            },
+            2 => Phase::Done,
+            tag => return Err(FrameError::bad_field("phase", tag)),
+        })
+    }
+}
+
 /// Accumulates one chunk's frames until every enhancement job settles.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ChunkAcc {
@@ -86,6 +130,15 @@ pub(crate) struct ChunkAcc {
     pub psnr_sum: f64,
     pub rebuffer_secs: f64,
 }
+
+nerve_net::wire_record!(ChunkAcc {
+    started,
+    rung,
+    frames,
+    resolved,
+    psnr_sum,
+    rebuffer_secs
+});
 
 /// Everything mutable about one resident session. Plain data plus the
 /// boxed ABR policy (itself `Send`), so a session can move between
@@ -1795,6 +1848,31 @@ pub(crate) struct ServerCkpt {
     /// The calendar queue in pop order.
     pub queue: Vec<Event>,
 }
+
+nerve_net::wire_record!(ServerCkpt {
+    now,
+    gen,
+    events,
+    last_tick,
+    down_until,
+    dead,
+    done,
+    restarts,
+    handoffs_in,
+    handoffs_out,
+    flush_idx,
+    failc,
+    inv,
+    slacks,
+    admission,
+    batcher_jobs,
+    batcher_stats,
+    breaker,
+    cache,
+    sessions,
+    arriving,
+    queue
+});
 
 #[cfg(test)]
 mod tests {

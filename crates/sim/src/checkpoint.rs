@@ -11,18 +11,21 @@
 //! integers, `f64::to_bits` for floats (exact round trip, no text
 //! formatting), sealed in the workspace's one wire frame
 //! ([`nerve_net::bytes::Frame`]: magic/version header, CRC32 trailer).
+//! The body is the checkpoint's one `wire_record!` field list; each
+//! field travels by its own type's [`nerve_net::bytes::Wire`] layout,
+//! declared next to that type (`QuicState`, `ChannelState` and
+//! `LossState` in `nerve-net`, `ChunkRecord` in [`crate::session`]).
 //! Reconnects funnel through this serialization *in-process* too: the
 //! session layer's only teardown/resume path is checkpoint → bytes →
 //! restore, so the codec is exercised by every chaos test, not just by
 //! the kill-resume ones.
 
-use nerve_net::bytes::{ByteReader, ByteWriter, Frame, FrameError};
+use nerve_net::bytes::{Frame, FrameError};
 use nerve_net::clock::SimTime;
 use nerve_net::integrity::crc32;
 use nerve_net::loss::LossState;
-use nerve_net::quicish::{QuicState, StreamStats};
-use nerve_net::reliable::{ChannelState, ChannelStats};
-use nerve_net::rtt::RttState;
+use nerve_net::quicish::QuicState;
+use nerve_net::reliable::ChannelState;
 
 use crate::session::ChunkRecord;
 
@@ -81,62 +84,42 @@ pub struct SessionCheckpoint {
     pub delta_rejected: u64,
 }
 
+nerve_net::wire_record!(SessionCheckpoint {
+    chunk_index,
+    epoch,
+    reconnects,
+    downtime_secs,
+    pending_rebuffer,
+    now,
+    buffer_secs,
+    reuse_chain,
+    loss_pred,
+    last_choice,
+    throughput_kbps,
+    loss_rates,
+    media,
+    media_loss,
+    media_fault_packets,
+    code,
+    code_loss,
+    code_fault_packets,
+    degradation,
+    recovered_frames_total,
+    frames_total,
+    recovered_qoe_acc,
+    recovered_qoe_n,
+    outcomes,
+    records,
+    delta_version,
+    delta_bytes_sent,
+    delta_applied,
+    delta_rejected
+});
+
 impl SessionCheckpoint {
     /// Serialize to the sealed [`SESSION_FRAME`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SESSION_FRAME.writer();
-        w.u64(self.chunk_index);
-        w.u64(self.epoch);
-        w.u64(self.reconnects);
-        w.f64(self.downtime_secs);
-        w.f64(self.pending_rebuffer);
-        w.time(self.now);
-        w.f64(self.buffer_secs);
-        w.u64(self.reuse_chain);
-        w.opt_f64(self.loss_pred);
-        w.u64(self.last_choice);
-        w.usize(self.throughput_kbps.len());
-        for &v in &self.throughput_kbps {
-            w.f64(v);
-        }
-        w.usize(self.loss_rates.len());
-        for &v in &self.loss_rates {
-            w.f64(v);
-        }
-        write_quic(&mut w, &self.media);
-        self.media_loss.write(&mut w);
-        w.u64(self.media_fault_packets);
-        write_channel(&mut w, &self.code);
-        self.code_loss.write(&mut w);
-        w.u64(self.code_fault_packets);
-        for &d in &self.degradation {
-            w.u64(d);
-        }
-        w.u64(self.recovered_frames_total);
-        w.u64(self.frames_total);
-        w.f64(self.recovered_qoe_acc);
-        w.u64(self.recovered_qoe_n);
-        w.usize(self.outcomes.len());
-        for &(u, r) in &self.outcomes {
-            w.f64(u);
-            w.f64(r);
-        }
-        w.usize(self.records.len());
-        for rec in &self.records {
-            w.f64(rec.start_secs);
-            w.usize(rec.rung);
-            w.f64(rec.throughput_kbps);
-            w.f64(rec.qoe);
-            w.f64(rec.utility_mbps);
-            w.f64(rec.rebuffer_secs);
-            w.usize(rec.recovered_frames);
-            w.usize(rec.total_frames);
-        }
-        w.u32(self.delta_version);
-        w.u64(self.delta_bytes_sent);
-        w.u64(self.delta_applied);
-        w.u64(self.delta_rejected);
-        w.seal()
+        SESSION_FRAME.encode(self)
     }
 
     /// CRC32 over the serialized body — a compact fingerprint two runs
@@ -147,174 +130,16 @@ impl SessionCheckpoint {
 
     /// Parse bytes produced by [`SessionCheckpoint::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FrameError> {
-        let mut r = SESSION_FRAME.open(bytes)?;
-        let chunk_index = r.u64()?;
-        let epoch = r.u64()?;
-        let reconnects = r.u64()?;
-        let downtime_secs = r.f64()?;
-        let pending_rebuffer = r.f64()?;
-        let now = r.time()?;
-        let buffer_secs = r.f64()?;
-        let reuse_chain = r.u64()?;
-        let loss_pred = r.opt_f64()?;
-        let last_choice = r.u64()?;
-        let n = r.usize()?;
-        let throughput_kbps = read_vec_f64(&mut r, n)?;
-        let n = r.usize()?;
-        let loss_rates = read_vec_f64(&mut r, n)?;
-        let media = read_quic(&mut r)?;
-        let media_loss = LossState::read(&mut r)?;
-        let media_fault_packets = r.u64()?;
-        let code = read_channel(&mut r)?;
-        let code_loss = LossState::read(&mut r)?;
-        let code_fault_packets = r.u64()?;
-        let mut degradation = [0u64; 4];
-        for d in &mut degradation {
-            *d = r.u64()?;
-        }
-        let recovered_frames_total = r.u64()?;
-        let frames_total = r.u64()?;
-        let recovered_qoe_acc = r.f64()?;
-        let recovered_qoe_n = r.u64()?;
-        let n = r.usize()?;
-        let mut outcomes = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            outcomes.push((r.f64()?, r.f64()?));
-        }
-        let n = r.usize()?;
-        let mut records = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            records.push(ChunkRecord {
-                start_secs: r.f64()?,
-                rung: r.usize()?,
-                throughput_kbps: r.f64()?,
-                qoe: r.f64()?,
-                utility_mbps: r.f64()?,
-                rebuffer_secs: r.f64()?,
-                recovered_frames: r.usize()?,
-                total_frames: r.usize()?,
-            });
-        }
-        let delta_version = r.u32()?;
-        let delta_bytes_sent = r.u64()?;
-        let delta_applied = r.u64()?;
-        let delta_rejected = r.u64()?;
-        r.finish()?;
-        Ok(Self {
-            chunk_index,
-            epoch,
-            reconnects,
-            downtime_secs,
-            pending_rebuffer,
-            now,
-            buffer_secs,
-            reuse_chain,
-            loss_pred,
-            last_choice,
-            throughput_kbps,
-            loss_rates,
-            media,
-            media_loss,
-            media_fault_packets,
-            code,
-            code_loss,
-            code_fault_packets,
-            degradation,
-            recovered_frames_total,
-            frames_total,
-            recovered_qoe_acc,
-            recovered_qoe_n,
-            outcomes,
-            records,
-            delta_version,
-            delta_bytes_sent,
-            delta_applied,
-            delta_rejected,
-        })
+        SESSION_FRAME.decode(bytes)
     }
-}
-
-fn read_vec_f64(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<f64>, FrameError> {
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(r.f64()?);
-    }
-    Ok(out)
-}
-
-fn write_stream_stats(w: &mut ByteWriter, s: &StreamStats) {
-    w.u64(s.packets_sent);
-    w.u64(s.packets_lost_first_tx);
-    w.u64(s.retransmissions);
-    w.u64(s.residual_losses);
-    w.u64(s.reordered);
-    w.u64(s.duplicates);
-    w.u64(s.crc_dropped);
-    w.u64(s.residual_corrupted);
-}
-
-fn read_stream_stats(r: &mut ByteReader<'_>) -> Result<StreamStats, FrameError> {
-    Ok(StreamStats {
-        packets_sent: r.u64()?,
-        packets_lost_first_tx: r.u64()?,
-        retransmissions: r.u64()?,
-        residual_losses: r.u64()?,
-        reordered: r.u64()?,
-        duplicates: r.u64()?,
-        crc_dropped: r.u64()?,
-        residual_corrupted: r.u64()?,
-    })
-}
-
-fn write_quic(w: &mut ByteWriter, s: &QuicState) {
-    w.time(s.cursor);
-    w.u64(s.seq);
-    write_stream_stats(w, &s.stats);
-}
-
-fn read_quic(r: &mut ByteReader<'_>) -> Result<QuicState, FrameError> {
-    Ok(QuicState {
-        cursor: r.time()?,
-        seq: r.u64()?,
-        stats: read_stream_stats(r)?,
-    })
-}
-
-fn write_channel(w: &mut ByteWriter, s: &ChannelState) {
-    w.time(s.last_delivery);
-    w.u64(s.seq);
-    w.u64(s.stats.messages);
-    w.u64(s.stats.retransmissions);
-    w.u64(s.stats.expired);
-    w.u64(s.stats.corrupted);
-    w.u64(s.stats.crc_detected);
-    w.u64(s.retransmissions);
-    w.opt_f64(s.rtt.srtt);
-    w.f64(s.rtt.rttvar);
-}
-
-fn read_channel(r: &mut ByteReader<'_>) -> Result<ChannelState, FrameError> {
-    Ok(ChannelState {
-        last_delivery: r.time()?,
-        seq: r.u64()?,
-        stats: ChannelStats {
-            messages: r.u64()?,
-            retransmissions: r.u64()?,
-            expired: r.u64()?,
-            corrupted: r.u64()?,
-            crc_detected: r.u64()?,
-        },
-        retransmissions: r.u64()?,
-        rtt: RttState {
-            srtt: r.opt_f64()?,
-            rttvar: r.f64()?,
-        },
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nerve_net::quicish::StreamStats;
+    use nerve_net::reliable::ChannelStats;
+    use nerve_net::rtt::RttState;
 
     fn sample() -> SessionCheckpoint {
         SessionCheckpoint {

@@ -1,7 +1,7 @@
 //! Figures 1 and 2: the cost of FEC, with and without recovery.
 
 use super::ExperimentBudget;
-use crate::report::{fmt_f, Figure, Series};
+use crate::report::{Figure, Series};
 use crate::session::{FecMode, LatePolicy, Scheme, SessionConfig, StreamingSession};
 use nerve_abr::qoe::QualityMaps;
 use nerve_fec::packetize;
@@ -130,14 +130,6 @@ pub fn fig01_required_ratios(fig: &Figure) -> Vec<(String, f64)> {
                 .unwrap_or(f64::NAN);
             (s.name.clone(), req)
         })
-        .collect()
-}
-
-/// Render the headline numbers as table rows (for EXPERIMENTS.md).
-pub fn fig01_summary_rows(fig: &Figure) -> Vec<Vec<String>> {
-    fig01_required_ratios(fig)
-        .into_iter()
-        .map(|(name, ratio)| vec![name, fmt_f(ratio)])
         .collect()
 }
 

@@ -29,13 +29,17 @@
 //! [`seed_for`] component tags, and the only parallel compute — the
 //! server's coalesced keyframe `conv2d` — is bit-identical at any worker
 //! count. The whole fleet snapshots into a [`LiveCheckpoint`] (magic
-//! "NRVL") so a mid-storm kill resumes to a byte-identical digest.
+//! "NRVL") so a mid-storm kill resumes to a byte-identical digest. Its
+//! body is the `wire_record!` field lists of [`LiveCheckpoint`] and
+//! [`LiveSessionCheckpoint`] over the live server's own records
+//! (`LiveServerState` in `nerve-serve`); only [`KeyTick`] writes its
+//! layout by hand.
 
 use nerve_core::{
     choose_repair, BreakerCounters, DegradationLadder, DegradationRung, LivePolicy,
     LivePolicyConfig, RepairAction, RepairContext, RepairCosts,
 };
-use nerve_net::bytes::{Frame, FrameError};
+use nerve_net::bytes::{ByteReader, ByteWriter, Frame, FrameError, Wire};
 use nerve_net::clock::SimTime;
 use nerve_net::faults::FaultPlan;
 use nerve_net::feedback::{FeedbackChannel, FeedbackConfig, FeedbackKind, FeedbackStats};
@@ -44,7 +48,6 @@ use nerve_net::loss::{GilbertElliott, LossModel, LossState};
 use nerve_net::Direction;
 use nerve_obs::{FieldValue, Obs};
 use nerve_rng::{DetRng, Rng};
-use nerve_serve::ckpt::{read_breaker, write_breaker};
 use nerve_serve::{LiveServer, LiveServerConfig, LiveServerCounters, LiveServerState};
 use nerve_video::rng::{seed_for, StreamComponent};
 use std::fmt::Write as _;
@@ -132,6 +135,19 @@ pub struct LiveSessionCounters {
     /// FIR requests lost on the uplink before reaching the server.
     pub fir_lost: u64,
 }
+
+nerve_net::wire_record!(LiveSessionCounters {
+    on_time,
+    concealed,
+    nack_repaired,
+    keyframe_restored,
+    warp_only,
+    frozen,
+    deadline_misses,
+    nack_expired,
+    fir_denied,
+    fir_lost
+});
 
 impl LiveSessionCounters {
     /// Frames in the six outcome buckets (must equal the run's ticks).
@@ -263,8 +279,42 @@ pub struct LiveSessionCheckpoint {
     pub desynced: bool,
     pub nack_fail_streak: u32,
     pub fir_backoff: u32,
-    pub pending_key_tick: Option<u64>,
+    pub pending_key_tick: KeyTick,
     pub counters: LiveSessionCounters,
+}
+
+nerve_net::wire_record!(LiveSessionCheckpoint {
+    jitter,
+    feedback_sent,
+    feedback_stats,
+    loss,
+    conceal_chain,
+    desynced,
+    nack_fail_streak,
+    fir_backoff,
+    pending_key_tick,
+    counters
+});
+
+/// A granted keyframe's display tick as NRVL carries it: a flag, then a
+/// `u64` written even when absent (as 0). A cleared flag with a nonzero
+/// tick would not re-encode to the same bytes, so it is refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyTick(pub Option<u64>);
+
+impl Wire for KeyTick {
+    fn put(&self, w: &mut ByteWriter) {
+        w.bool(self.0.is_some());
+        w.u64(self.0.unwrap_or(0));
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, FrameError> {
+        let set = r.bool()?;
+        let tick = r.u64()?;
+        if !set && tick != 0 {
+            return Err(FrameError::bad_field("pending_key_tick", tick));
+        }
+        Ok(KeyTick(set.then_some(tick)))
+    }
 }
 
 /// Whole-fleet checkpoint: tick cursor, every session, the server.
@@ -275,147 +325,21 @@ pub struct LiveCheckpoint {
     pub server: LiveServerState,
 }
 
+nerve_net::wire_record!(LiveCheckpoint {
+    tick,
+    sessions,
+    server
+});
+
 impl LiveCheckpoint {
     /// Serialize to the sealed [`LIVE_FRAME`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = LIVE_FRAME.writer();
-        w.u64(self.tick);
-        w.usize(self.sessions.len());
-        for s in &self.sessions {
-            w.f64(s.jitter.jitter_secs);
-            w.opt_f64(s.jitter.last_transit_secs);
-            w.f64(s.jitter.playout_delay_secs);
-            w.u64(s.feedback_sent);
-            w.u64(s.feedback_stats.nack_sent);
-            w.u64(s.feedback_stats.fir_sent);
-            w.u64(s.feedback_stats.lost);
-            w.u64(s.feedback_stats.delivered);
-            s.loss.write(&mut w);
-            w.u32(s.conceal_chain);
-            w.bool(s.desynced);
-            w.u32(s.nack_fail_streak);
-            w.u32(s.fir_backoff);
-            w.bool(s.pending_key_tick.is_some());
-            w.u64(s.pending_key_tick.unwrap_or(0));
-            let c = &s.counters;
-            for v in [
-                c.on_time,
-                c.concealed,
-                c.nack_repaired,
-                c.keyframe_restored,
-                c.warp_only,
-                c.frozen,
-                c.deadline_misses,
-                c.nack_expired,
-                c.fir_denied,
-                c.fir_lost,
-            ] {
-                w.u64(v);
-            }
-        }
-        let srv = &self.server;
-        w.f64(srv.limiter.bucket.tokens);
-        w.time(srv.limiter.bucket.last_refill);
-        w.u64(srv.limiter.requested);
-        w.u64(srv.limiter.granted);
-        w.u64(srv.limiter.ratelimited);
-        write_breaker(&mut w, &srv.breaker);
-        for v in [
-            srv.counters.nack_served,
-            srv.counters.nack_shed,
-            srv.counters.fir_batches,
-            srv.counters.keyframes_encoded,
-        ] {
-            w.u64(v);
-        }
-        w.f64(srv.checksum_acc);
-        w.seal()
+        LIVE_FRAME.encode(self)
     }
 
     /// Parse bytes produced by [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FrameError> {
-        let mut r = LIVE_FRAME.open(bytes)?;
-        let tick = r.u64()?;
-        let n = r.usize()?;
-        let mut sessions = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let jitter = JitterState {
-                jitter_secs: r.f64()?,
-                last_transit_secs: r.opt_f64()?,
-                playout_delay_secs: r.f64()?,
-            };
-            let feedback_sent = r.u64()?;
-            let feedback_stats = FeedbackStats {
-                nack_sent: r.u64()?,
-                fir_sent: r.u64()?,
-                lost: r.u64()?,
-                delivered: r.u64()?,
-            };
-            let loss = LossState::read(&mut r)?;
-            let conceal_chain = r.u32()?;
-            let desynced = r.bool()?;
-            let nack_fail_streak = r.u32()?;
-            let fir_backoff = r.u32()?;
-            let has_key = r.bool()?;
-            let key_tick = r.u64()?;
-            // An absent tick is written as 0; anything else would not
-            // re-encode to the same bytes.
-            if !has_key && key_tick != 0 {
-                return Err(FrameError::bad_field("pending_key_tick", key_tick));
-            }
-            let counters = LiveSessionCounters {
-                on_time: r.u64()?,
-                concealed: r.u64()?,
-                nack_repaired: r.u64()?,
-                keyframe_restored: r.u64()?,
-                warp_only: r.u64()?,
-                frozen: r.u64()?,
-                deadline_misses: r.u64()?,
-                nack_expired: r.u64()?,
-                fir_denied: r.u64()?,
-                fir_lost: r.u64()?,
-            };
-            sessions.push(LiveSessionCheckpoint {
-                jitter,
-                feedback_sent,
-                feedback_stats,
-                loss,
-                conceal_chain,
-                desynced,
-                nack_fail_streak,
-                fir_backoff,
-                pending_key_tick: has_key.then_some(key_tick),
-                counters,
-            });
-        }
-        let limiter = nerve_serve::FirLimiterState {
-            bucket: nerve_serve::TokenBucketState {
-                tokens: r.f64()?,
-                last_refill: r.time()?,
-            },
-            requested: r.u64()?,
-            granted: r.u64()?,
-            ratelimited: r.u64()?,
-        };
-        let breaker = read_breaker(&mut r)?;
-        let counters = LiveServerCounters {
-            nack_served: r.u64()?,
-            nack_shed: r.u64()?,
-            fir_batches: r.u64()?,
-            keyframes_encoded: r.u64()?,
-        };
-        let checksum_acc = r.f64()?;
-        r.finish()?;
-        Ok(Self {
-            tick,
-            sessions,
-            server: LiveServerState {
-                limiter,
-                breaker,
-                counters,
-                checksum_acc,
-            },
-        })
+        LIVE_FRAME.decode(bytes)
     }
 }
 
@@ -679,7 +603,7 @@ impl LiveFleetRunner {
                     desynced: s.desynced,
                     nack_fail_streak: s.nack_fail_streak,
                     fir_backoff: s.fir_backoff,
-                    pending_key_tick: s.pending_key_tick,
+                    pending_key_tick: KeyTick(s.pending_key_tick),
                     counters: s.counters,
                 })
                 .collect(),
@@ -710,7 +634,7 @@ impl LiveFleetRunner {
             sess.desynced = c.desynced;
             sess.nack_fail_streak = c.nack_fail_streak;
             sess.fir_backoff = c.fir_backoff;
-            sess.pending_key_tick = c.pending_key_tick;
+            sess.pending_key_tick = c.pending_key_tick.0;
             sess.counters = c.counters;
         }
         runner.server.restore(ckpt.server);

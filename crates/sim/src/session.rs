@@ -370,6 +370,17 @@ pub struct ChunkRecord {
     pub total_frames: usize,
 }
 
+nerve_net::wire_record!(ChunkRecord {
+    start_secs,
+    rung,
+    throughput_kbps,
+    qoe,
+    utility_mbps,
+    rebuffer_secs,
+    recovered_frames,
+    total_frames
+});
+
 /// How many deadline-missing frames each degradation-ladder rung
 /// absorbed over the session (non-NEMO schemes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

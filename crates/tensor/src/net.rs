@@ -331,10 +331,6 @@ impl Sequential {
         total
     }
 
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// The convolution layers of the chain, in order. Inference-only
     /// callers use this to route the head through [`crate::fused`]
     /// without paying the per-layer input clones `forward` keeps for

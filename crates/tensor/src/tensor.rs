@@ -106,10 +106,6 @@ impl Tensor {
         &mut self.data
     }
 
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     #[inline]
     pub fn idx(&self, n: usize, c: usize, y: usize, x: usize) -> usize {
         debug_assert!(
@@ -258,12 +254,6 @@ impl Tensor {
         Tensor {
             shape: self.shape,
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 

@@ -23,69 +23,6 @@ pub fn write_pgm_to(frame: &Frame, out: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Write a color frame as a binary PPM (P6) file.
-pub fn write_ppm(frame: &crate::color::ColorFrame, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    writeln!(file, "P6")?;
-    writeln!(file, "{} {}", frame.width(), frame.height())?;
-    writeln!(file, "255")?;
-    let rgb = frame.to_rgb();
-    let bytes: Vec<u8> = rgb
-        .iter()
-        .map(|v| (v.clamp(0.0, 1.0) * 255.0).round() as u8)
-        .collect();
-    file.write_all(&bytes)?;
-    Ok(())
-}
-
-/// Read a binary PGM (P5) file back into a frame. Supports the subset
-/// this crate writes (single whitespace-separated header, maxval 255).
-pub fn read_pgm(path: impl AsRef<Path>) -> io::Result<Frame> {
-    let bytes = std::fs::read(path)?;
-    parse_pgm(&bytes)
-}
-
-fn parse_pgm(bytes: &[u8]) -> io::Result<Frame> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut pos = 0usize;
-    let mut fields: Vec<String> = Vec::new();
-    // Parse 4 header fields (magic, width, height, maxval), skipping
-    // whitespace and `#` comments.
-    while fields.len() < 4 {
-        while pos < bytes.len() && (bytes[pos] as char).is_whitespace() {
-            pos += 1;
-        }
-        if pos < bytes.len() && bytes[pos] == b'#' {
-            while pos < bytes.len() && bytes[pos] != b'\n' {
-                pos += 1;
-            }
-            continue;
-        }
-        let start = pos;
-        while pos < bytes.len() && !(bytes[pos] as char).is_whitespace() {
-            pos += 1;
-        }
-        if start == pos {
-            return Err(bad("truncated PGM header"));
-        }
-        fields.push(String::from_utf8_lossy(&bytes[start..pos]).into_owned());
-    }
-    pos += 1; // single whitespace after maxval
-    if fields[0] != "P5" {
-        return Err(bad("not a binary PGM (P5) file"));
-    }
-    let width: usize = fields[1].parse().map_err(|_| bad("bad width"))?;
-    let height: usize = fields[2].parse().map_err(|_| bad("bad height"))?;
-    if fields[3] != "255" {
-        return Err(bad("only maxval 255 supported"));
-    }
-    let need = width * height;
-    if bytes.len() < pos + need {
-        return Err(bad("truncated PGM pixel data"));
-    }
-    Ok(Frame::from_u8(width, height, &bytes[pos..pos + need]))
-}
-
 /// Horizontally concatenate frames (all must share a height) with a thin
 /// separator column, mirroring the paper's side-by-side figures.
 pub fn montage(frames: &[&Frame], separator: usize) -> Frame {
@@ -112,6 +49,49 @@ pub fn montage(frames: &[&Frame], separator: usize) -> Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Read back the binary PGM (P5) subset [`write_pgm_to`] writes
+    /// (single whitespace-separated header, maxval 255).
+    fn parse_pgm(bytes: &[u8]) -> io::Result<Frame> {
+        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+        let mut pos = 0usize;
+        let mut fields: Vec<String> = Vec::new();
+        // Parse 4 header fields (magic, width, height, maxval), skipping
+        // whitespace and `#` comments.
+        while fields.len() < 4 {
+            while pos < bytes.len() && (bytes[pos] as char).is_whitespace() {
+                pos += 1;
+            }
+            if pos < bytes.len() && bytes[pos] == b'#' {
+                while pos < bytes.len() && bytes[pos] != b'\n' {
+                    pos += 1;
+                }
+                continue;
+            }
+            let start = pos;
+            while pos < bytes.len() && !(bytes[pos] as char).is_whitespace() {
+                pos += 1;
+            }
+            if start == pos {
+                return Err(bad("truncated PGM header"));
+            }
+            fields.push(String::from_utf8_lossy(&bytes[start..pos]).into_owned());
+        }
+        pos += 1; // single whitespace after maxval
+        if fields[0] != "P5" {
+            return Err(bad("not a binary PGM (P5) file"));
+        }
+        let width: usize = fields[1].parse().map_err(|_| bad("bad width"))?;
+        let height: usize = fields[2].parse().map_err(|_| bad("bad height"))?;
+        if fields[3] != "255" {
+            return Err(bad("only maxval 255 supported"));
+        }
+        let need = width * height;
+        if bytes.len() < pos + need {
+            return Err(bad("truncated PGM pixel data"));
+        }
+        Ok(Frame::from_u8(width, height, &bytes[pos..pos + need]))
+    }
 
     #[test]
     fn pgm_round_trip() {

@@ -121,12 +121,6 @@ pub fn mean_psnr(pairs: &[(Frame, Frame)]) -> f64 {
     pairs.iter().map(|(a, b)| psnr(a, b)).sum::<f64>() / pairs.len() as f64
 }
 
-/// SSIM averaged over a sequence of frame pairs.
-pub fn mean_ssim(pairs: &[(Frame, Frame)]) -> f64 {
-    assert!(!pairs.is_empty());
-    pairs.iter().map(|(a, b)| ssim(a, b)).sum::<f64>() / pairs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

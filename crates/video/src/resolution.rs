@@ -69,11 +69,6 @@ impl Resolution {
         }
     }
 
-    /// Ladder bitrate in Mbps.
-    pub fn bitrate_mbps(self) -> f64 {
-        self.bitrate_kbps() as f64 / 1000.0
-    }
-
     /// Upscaling factor to reach 1080p height (1080 / own height,
     /// rounded): 240p -> 4x (4.5 truncated to the paper's "4x up-scale"),
     /// 360p -> 3x, 480p -> 2x, 720p -> 1.5x (handled as resize), 1080p -> 1x.

@@ -80,7 +80,7 @@ pub mod prelude {
         sr::{SrConfig, SuperResolver},
     };
     pub use nerve_fec::rs::ReedSolomon;
-    pub use nerve_net::trace::{NetworkKind, NetworkTrace, TraceGenerator};
+    pub use nerve_net::trace::{NetworkKind, NetworkTrace};
     pub use nerve_obs::{Obs, Registry};
     pub use nerve_serve::{run_fleet, run_fleet_obs, FleetConfig, FleetResult};
     pub use nerve_sim::session::{SessionConfig, StreamingSession};
