@@ -27,6 +27,13 @@ use crate::predict::{Ewma, HoltWinters, Predictor};
 use crate::qoe::{chunk_qoe, QoeParams, QualityMaps};
 use crate::{Abr, AbrContext};
 
+/// Per-frame runtime of the recovery model and of the SR model, seconds
+/// (paper: 22 ms each; §6's `T_RC` and `T_SR`).
+pub const MODEL_SECS: f64 = 0.022;
+
+/// Nominal transport packet payload, bytes.
+pub const PACKET_BYTES: usize = 1200;
+
 /// What the controller knows about client-side enhancement.
 #[derive(Debug, Clone)]
 pub struct EnhancementConfig {
@@ -34,16 +41,10 @@ pub struct EnhancementConfig {
     pub recovery_aware: bool,
     /// Model the QoE benefit of super-resolution.
     pub sr_aware: bool,
-    /// Recovery model runtime per frame, seconds (paper: 22 ms).
-    pub recovery_secs: f64,
-    /// SR runtime per frame, seconds (paper: 22 ms).
-    pub sr_secs: f64,
     /// Fraction of predicted packet loss that survives transport
     /// retransmission (QUIC fast retransmit leaves ~p² residual; the
     /// paper measures 1.6% residual on 5G).
     pub residual_loss_factor: f64,
-    /// Nominal packet payload for frame-loss conversion.
-    pub packet_bytes: f64,
 }
 
 impl Default for EnhancementConfig {
@@ -51,10 +52,7 @@ impl Default for EnhancementConfig {
         Self {
             recovery_aware: true,
             sr_aware: true,
-            recovery_secs: 0.022,
-            sr_secs: 0.022,
             residual_loss_factor: 0.35,
-            packet_bytes: 1200.0,
         }
     }
 }
@@ -171,7 +169,7 @@ impl EnhancementAwareAbr {
         // per-frame loss (any packet missing kills the frame's slice(s)).
         let residual = loss * self.config.residual_loss_factor;
         let bytes_per_frame = kbps * 1000.0 / 8.0 * ctx.chunk_seconds / frames as f64;
-        let pkts_per_frame = (bytes_per_frame / self.config.packet_bytes).max(1.0);
+        let pkts_per_frame = (bytes_per_frame / PACKET_BYTES as f64).max(1.0);
         let p_frame_lost = 1.0 - (1.0 - residual).powf(pkts_per_frame);
 
         // Frame classification (§6): late, lost, SR-able, plain.
@@ -186,8 +184,8 @@ impl EnhancementAwareAbr {
                 n_late += 1;
                 let wait = t_arr - t_play;
                 stall_wait += wait;
-                recovery_rebuffer += wait.min(self.config.recovery_secs);
-            } else if t_play > t_arr + self.config.sr_secs {
+                recovery_rebuffer += wait.min(MODEL_SECS);
+            } else if t_play > t_arr + MODEL_SECS {
                 n_sr += 1;
             }
         }

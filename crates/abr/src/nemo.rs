@@ -21,57 +21,38 @@ use crate::predict::{Ewma, Predictor};
 use crate::qoe::{chunk_qoe, QoeParams, QualityMaps};
 use crate::{Abr, AbrContext};
 
-/// NEMO behaviour parameters.
-#[derive(Debug, Clone)]
-pub struct NemoConfig {
-    /// Fraction of frames that are anchors (fully SR'd).
-    pub anchor_fraction: f64,
-    /// Fraction of the full SR PSNR gain that propagation preserves on
-    /// non-anchor frames.
-    pub propagation_efficiency: f64,
-    /// Quality penalty (dB) of showing a reused frame for a late/lost one.
-    pub reuse_penalty_db: f64,
-}
+/// Fraction of frames that are anchors (fully SR'd).
+const ANCHOR_FRACTION: f64 = 0.15;
+/// Fraction of the full SR PSNR gain that propagation preserves on
+/// non-anchor frames.
+const PROPAGATION_EFFICIENCY: f64 = 0.6;
+/// Quality penalty (dB) of showing a reused frame for a late/lost one.
+const REUSE_PENALTY_DB: f64 = 6.0;
 
-impl Default for NemoConfig {
-    fn default() -> Self {
-        Self {
-            anchor_fraction: 0.15,
-            propagation_efficiency: 0.6,
-            reuse_penalty_db: 6.0,
-        }
-    }
+/// Effective SR PSNR at a rung under anchor-limited enhancement: anchors
+/// get the full SR gain, the frames between them the propagated share.
+pub fn effective_sr_psnr(maps: &QualityMaps, rung: usize) -> f64 {
+    let plain = maps.plain_psnr[rung];
+    let full_gain = maps.sr_psnr[rung] - plain;
+    let effective_gain =
+        full_gain * (ANCHOR_FRACTION + (1.0 - ANCHOR_FRACTION) * PROPAGATION_EFFICIENCY);
+    plain + effective_gain
 }
 
 /// The NEMO-style ABR + quality model.
 pub struct NemoAbr {
     maps: QualityMaps,
     params: QoeParams,
-    pub config: NemoConfig,
 }
 
 impl NemoAbr {
-    pub fn new(maps: QualityMaps, params: QoeParams, config: NemoConfig) -> Self {
-        Self {
-            maps,
-            params,
-            config,
-        }
-    }
-
-    /// Effective SR PSNR under anchor-limited enhancement at a rung.
-    pub fn effective_sr_psnr(&self, rung: usize) -> f64 {
-        let plain = self.maps.plain_psnr[rung];
-        let full_gain = self.maps.sr_psnr[rung] - plain;
-        let effective_gain = full_gain
-            * (self.config.anchor_fraction
-                + (1.0 - self.config.anchor_fraction) * self.config.propagation_efficiency);
-        plain + effective_gain
+    pub fn new(maps: QualityMaps, params: QoeParams) -> Self {
+        Self { maps, params }
     }
 
     /// Quality of a late/lost frame under NEMO (frame reuse).
     pub fn reuse_psnr(&self, rung: usize) -> f64 {
-        (self.maps.plain_psnr[rung] - self.config.reuse_penalty_db).max(8.0)
+        (self.maps.plain_psnr[rung] - REUSE_PENALTY_DB).max(8.0)
     }
 
     /// Expected QoE of the next chunk at a rung (the controller's view).
@@ -104,13 +85,14 @@ impl NemoAbr {
             }
         }
         let n_good = frames - n_late;
-        let mean_psnr = (self.effective_sr_psnr(rung) * n_good as f64
+        let mean_psnr = (effective_sr_psnr(&self.maps, rung) * n_good as f64
             + self.reuse_psnr(rung) * n_late as f64)
             / frames as f64;
         let utility = self.maps.utility_for_psnr(mean_psnr);
-        let prev = self.maps.utility_for_psnr(
-            self.effective_sr_psnr(ctx.last_choice.min(ctx.ladder_kbps.len() - 1)),
-        );
+        let prev = self.maps.utility_for_psnr(effective_sr_psnr(
+            &self.maps,
+            ctx.last_choice.min(ctx.ladder_kbps.len() - 1),
+        ));
         chunk_qoe(utility, stall, prev, &self.params)
     }
 }
@@ -141,11 +123,7 @@ mod tests {
     const LADDER: [u32; 5] = [512, 1024, 1600, 2640, 4400];
 
     fn nemo() -> NemoAbr {
-        NemoAbr::new(
-            QualityMaps::placeholder(&LADDER),
-            QoeParams::default(),
-            NemoConfig::default(),
-        )
+        NemoAbr::new(QualityMaps::placeholder(&LADDER), QoeParams::default())
     }
 
     fn ctx(tput: f64, buffer: f64) -> AbrContext {
@@ -162,10 +140,9 @@ mod tests {
 
     #[test]
     fn anchor_limited_sr_gains_less_than_full_sr() {
-        let n = nemo();
         let maps = QualityMaps::placeholder(&LADDER);
         for rung in 0..4 {
-            let eff = n.effective_sr_psnr(rung);
+            let eff = effective_sr_psnr(&maps, rung);
             assert!(eff > maps.plain_psnr[rung], "rung {rung} gains something");
             assert!(
                 eff < maps.sr_psnr[rung],

@@ -15,9 +15,6 @@ use crate::encoder::EncodedFrame;
 use crate::error::DecodeError;
 use nerve_net::integrity::crc32;
 
-/// Conventional MTU payload for video packets (bytes).
-pub const DEFAULT_MTU: usize = 1200;
-
 /// One network packet of video payload.
 #[derive(Debug, Clone)]
 pub struct VideoPacket {

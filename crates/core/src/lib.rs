@@ -36,9 +36,7 @@ pub mod train;
 
 pub use breaker::{BreakerConfig, BreakerCounters, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use error::RecoveryError;
-pub use live::{
-    choose_repair, LivePolicy, LivePolicyConfig, RepairAction, RepairContext, RepairCosts,
-};
+pub use live::{choose_repair, LivePolicy, RepairAction, RepairContext, RepairCosts};
 pub use point_code::{PointCode, PointCodeConfig, PointCodeEncoder};
 pub use recovery::{DegradationLadder, DegradationRung, RecoveryConfig, RecoveryModel};
 pub use sr::{SrConfig, SuperResolver};

@@ -69,34 +69,19 @@ pub struct RepairCosts {
     pub fir_secs: f64,
 }
 
-/// Tuning for the budget policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LivePolicyConfig {
-    /// Concealment chains longer than this are considered quality-bankrupt:
-    /// the policy stops concealing and escalates.
-    pub max_conceal_chain: u32,
-    /// Chain depth at which the policy starts preferring a NACK over
-    /// another concealment (paying an RTT to reset the chain).
-    pub nack_chain_threshold: u32,
-    /// Chain depth at which the policy escalates straight to FIR even if
-    /// a NACK would fit (deep chains mean retransmits alone will not
-    /// restore reference quality).
-    pub fir_chain_threshold: u32,
-    /// Consecutive failed NACKs after which the policy stops asking (the
-    /// uplink is presumed down) and falls back to concealment.
-    pub nack_giveup_streak: u32,
-}
-
-impl Default for LivePolicyConfig {
-    fn default() -> Self {
-        Self {
-            max_conceal_chain: 6,
-            nack_chain_threshold: 2,
-            fir_chain_threshold: 8,
-            nack_giveup_streak: 3,
-        }
-    }
-}
+/// Concealment chains longer than this are quality-bankrupt: the budget
+/// policy stops concealing and escalates.
+pub const MAX_CONCEAL_CHAIN: u32 = 6;
+/// Chain depth at which the budget policy starts preferring a NACK over
+/// another concealment (paying an RTT to reset the chain).
+const NACK_CHAIN_THRESHOLD: u32 = 2;
+/// Chain depth at which the budget policy escalates straight to FIR even
+/// if a NACK would fit (deep chains mean retransmits alone will not
+/// restore reference quality).
+const FIR_CHAIN_THRESHOLD: u32 = 8;
+/// Consecutive failed NACKs after which the budget policy stops asking
+/// (the uplink is presumed down) and falls back to concealment.
+const NACK_GIVEUP_STREAK: u32 = 3;
 
 /// Per-frame facts the policy decides from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,7 +102,6 @@ pub struct RepairContext {
 /// to the degradation ladder (warp-only / freeze — never stall).
 pub fn choose_repair(
     policy: LivePolicy,
-    cfg: &LivePolicyConfig,
     ctx: &RepairContext,
     costs: &RepairCosts,
 ) -> Option<RepairAction> {
@@ -135,22 +119,22 @@ pub fn choose_repair(
             }
             // A chain this deep has no reference quality left for a
             // retransmit to anchor to — restart the GOP.
-            if ctx.conceal_chain >= cfg.fir_chain_threshold {
+            if ctx.conceal_chain >= FIR_CHAIN_THRESHOLD {
                 return Some(RepairAction::Fir);
             }
             // Shallow chain: concealment is near-lossless and free.
-            if ctx.conceal_chain < cfg.nack_chain_threshold && fits(costs.conceal_secs) {
+            if ctx.conceal_chain < NACK_CHAIN_THRESHOLD && fits(costs.conceal_secs) {
                 return Some(RepairAction::Conceal);
             }
             // Mid-depth chain: pay the RTT to reset it — unless the
             // uplink has been eating our NACKs, in which case stop
             // throwing good budget after bad.
-            if fits(costs.nack_secs) && ctx.nack_fail_streak < cfg.nack_giveup_streak {
+            if fits(costs.nack_secs) && ctx.nack_fail_streak < NACK_GIVEUP_STREAK {
                 return Some(RepairAction::Nack);
             }
             // NACK unaffordable or hopeless: keep concealing while the
             // chain stays within quality bankruptcy.
-            if ctx.conceal_chain < cfg.max_conceal_chain && fits(costs.conceal_secs) {
+            if ctx.conceal_chain < MAX_CONCEAL_CHAIN && fits(costs.conceal_secs) {
                 return Some(RepairAction::Conceal);
             }
             None
@@ -181,35 +165,20 @@ mod tests {
 
     #[test]
     fn shallow_chain_with_budget_conceals() {
-        let a = choose_repair(
-            LivePolicy::Budget,
-            &LivePolicyConfig::default(),
-            &ctx(0.2, 0),
-            &costs(),
-        );
+        let a = choose_repair(LivePolicy::Budget, &ctx(0.2, 0), &costs());
         assert_eq!(a, Some(RepairAction::Conceal));
     }
 
     #[test]
     fn mid_chain_pays_an_rtt_to_reset() {
-        let a = choose_repair(
-            LivePolicy::Budget,
-            &LivePolicyConfig::default(),
-            &ctx(0.2, 3),
-            &costs(),
-        );
+        let a = choose_repair(LivePolicy::Budget, &ctx(0.2, 3), &costs());
         assert_eq!(a, Some(RepairAction::Nack));
     }
 
     #[test]
     fn tight_budget_mid_chain_keeps_concealing() {
         // NACK does not fit 30 ms; concealment does.
-        let a = choose_repair(
-            LivePolicy::Budget,
-            &LivePolicyConfig::default(),
-            &ctx(0.030, 3),
-            &costs(),
-        );
+        let a = choose_repair(LivePolicy::Budget, &ctx(0.030, 3), &costs());
         assert_eq!(a, Some(RepairAction::Conceal));
     }
 
@@ -217,23 +186,13 @@ mod tests {
     fn desync_always_escalates_to_fir() {
         let mut c = ctx(0.005, 0);
         c.desynced = true;
-        let a = choose_repair(
-            LivePolicy::Budget,
-            &LivePolicyConfig::default(),
-            &c,
-            &costs(),
-        );
+        let a = choose_repair(LivePolicy::Budget, &c, &costs());
         assert_eq!(a, Some(RepairAction::Fir));
     }
 
     #[test]
     fn deep_chain_escalates_to_fir_even_when_nack_fits() {
-        let a = choose_repair(
-            LivePolicy::Budget,
-            &LivePolicyConfig::default(),
-            &ctx(0.3, 8),
-            &costs(),
-        );
+        let a = choose_repair(LivePolicy::Budget, &ctx(0.3, 8), &costs());
         assert_eq!(a, Some(RepairAction::Fir));
     }
 
@@ -241,12 +200,7 @@ mod tests {
     fn failed_nack_streak_falls_back_to_concealment() {
         let mut c = ctx(0.2, 3);
         c.nack_fail_streak = 3;
-        let a = choose_repair(
-            LivePolicy::Budget,
-            &LivePolicyConfig::default(),
-            &c,
-            &costs(),
-        );
+        let a = choose_repair(LivePolicy::Budget, &c, &costs());
         assert_eq!(a, Some(RepairAction::Conceal));
     }
 
@@ -255,44 +209,38 @@ mod tests {
         let mut c = ctx(0.001, 6);
         c.nack_fail_streak = 3;
         // Even concealment (10 ms) does not fit 1 ms.
-        let a = choose_repair(
-            LivePolicy::Budget,
-            &LivePolicyConfig::default(),
-            &c,
-            &costs(),
-        );
+        let a = choose_repair(LivePolicy::Budget, &c, &costs());
         assert_eq!(a, None, "ladder takes over, not a stall");
     }
 
     #[test]
     fn static_policies_do_what_the_name_says() {
-        let cfg = LivePolicyConfig::default();
         let c = ctx(0.2, 4);
         assert_eq!(
-            choose_repair(LivePolicy::AlwaysConceal, &cfg, &c, &costs()),
+            choose_repair(LivePolicy::AlwaysConceal, &c, &costs()),
             Some(RepairAction::Conceal)
         );
         assert_eq!(
-            choose_repair(LivePolicy::AlwaysNack, &cfg, &c, &costs()),
+            choose_repair(LivePolicy::AlwaysNack, &c, &costs()),
             Some(RepairAction::Nack)
         );
         assert_eq!(
-            choose_repair(LivePolicy::AlwaysFir, &cfg, &c, &costs()),
+            choose_repair(LivePolicy::AlwaysFir, &c, &costs()),
             Some(RepairAction::Fir)
         );
         // And their failure modes: no budget → conceal/nack degrade…
         let tight = ctx(0.0001, 4);
         assert_eq!(
-            choose_repair(LivePolicy::AlwaysConceal, &cfg, &tight, &costs()),
+            choose_repair(LivePolicy::AlwaysConceal, &tight, &costs()),
             None
         );
         assert_eq!(
-            choose_repair(LivePolicy::AlwaysNack, &cfg, &tight, &costs()),
+            choose_repair(LivePolicy::AlwaysNack, &tight, &costs()),
             None
         );
         // …while FIR is a request, not a compute spend: always issuable.
         assert_eq!(
-            choose_repair(LivePolicy::AlwaysFir, &cfg, &tight, &costs()),
+            choose_repair(LivePolicy::AlwaysFir, &tight, &costs()),
             Some(RepairAction::Fir)
         );
     }

@@ -36,8 +36,6 @@ pub struct SrConfig {
     pub scale_divisor: usize,
     /// Shared flow estimator settings.
     pub flow: FlowConfig,
-    /// Hidden channels of each per-resolution head.
-    pub head_channels: usize,
 }
 
 impl SrConfig {
@@ -50,7 +48,6 @@ impl SrConfig {
             out_height: h,
             scale_divisor,
             flow: FlowConfig::fast(),
-            head_channels: 8,
         }
     }
 
@@ -93,6 +90,8 @@ fn base_lr(lr: &Frame, ow: usize, oh: usize) -> Frame {
 /// Channels fed to each head: bilinear base (at LR), warped previous HR
 /// (downsampled to LR), and the raw LR frame.
 const HEAD_IN: usize = 3;
+/// Hidden channels of each per-resolution head.
+const HEAD_CHANNELS: usize = 8;
 
 /// The multi-resolution super-resolver.
 pub struct SuperResolver {
@@ -115,13 +114,14 @@ impl SuperResolver {
             Resolution::R720,
         ] {
             let r = config.shuffle_factor(rung);
-            let c = config.head_channels;
             let head = Sequential::new(
                 vec![
-                    Box::new(Conv2d::new(&mut rng, ConvSpec::same(HEAD_IN, c, 3)))
-                        as Box<dyn Layer>,
+                    Box::new(Conv2d::new(
+                        &mut rng,
+                        ConvSpec::same(HEAD_IN, HEAD_CHANNELS, 3),
+                    )) as Box<dyn Layer>,
                     Box::new(Relu::new()),
-                    Box::new(Conv2d::zeroed(ConvSpec::same(c, r * r, 3))),
+                    Box::new(Conv2d::zeroed(ConvSpec::same(HEAD_CHANNELS, r * r, 3))),
                     Box::new(PixelShuffle::new(r)),
                 ],
                 2e-3,
@@ -157,13 +157,15 @@ impl SuperResolver {
     /// upsampling, which is always safe.
     pub fn reset_head(&mut self, rung: Resolution) {
         let r = self.config.shuffle_factor(rung);
-        let c = self.config.head_channels;
         let mut rng = StdRng::seed_from_u64(0x5352_4E45 ^ rung.ladder_index() as u64);
         let head = Sequential::new(
             vec![
-                Box::new(Conv2d::new(&mut rng, ConvSpec::same(HEAD_IN, c, 3))) as Box<dyn Layer>,
+                Box::new(Conv2d::new(
+                    &mut rng,
+                    ConvSpec::same(HEAD_IN, HEAD_CHANNELS, 3),
+                )) as Box<dyn Layer>,
                 Box::new(Relu::new()),
-                Box::new(Conv2d::zeroed(ConvSpec::same(c, r * r, 3))),
+                Box::new(Conv2d::zeroed(ConvSpec::same(HEAD_CHANNELS, r * r, 3))),
                 Box::new(PixelShuffle::new(r)),
             ],
             2e-3,

@@ -17,11 +17,11 @@ pub struct SimTime(pub u64);
 impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimTime(us)
     }
 
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000)
     }
 

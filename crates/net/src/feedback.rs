@@ -4,9 +4,9 @@
 //! *talks back*. Three message kinds, mirroring RTP/AVPF semantics:
 //!
 //! * **NACK** — "frame `seq` didn't make it, retransmit it". Selective,
-//!   per-sequence, retried with exponential backoff up to a cap
-//!   ([`FeedbackConfig::nack_retry_cap`]); a repair is only useful if it
-//!   lands before the frame's playout deadline.
+//!   per-sequence, retried with exponential backoff up to a cap of three
+//!   transmissions; a repair is only useful if it lands before the
+//!   frame's playout deadline.
 //! * **PLI** — picture loss indication: "my decoder lost reference
 //!   state, send something decodable".
 //! * **FIR** — full intra request: "force a keyframe / GOP restart now".
@@ -36,30 +36,15 @@ pub enum FeedbackKind {
     Fir,
 }
 
-/// Feedback-channel tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeedbackConfig {
-    /// Nominal one-way uplink propagation delay.
-    pub owd_up: SimTime,
-    /// Maximum NACK transmissions for one lost frame.
-    pub nack_retry_cap: u32,
-    /// Initial NACK retransmission timeout (time to wait for the repair
-    /// before re-asking); roughly one RTT plus scheduling margin.
-    pub nack_rto: SimTime,
-    /// Exponential backoff factor between NACK retries.
-    pub backoff: f64,
-}
-
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        Self {
-            owd_up: SimTime::from_millis(30),
-            nack_retry_cap: 3,
-            nack_rto: SimTime::from_millis(80),
-            backoff: 2.0,
-        }
-    }
-}
+/// Nominal one-way uplink propagation delay.
+pub const OWD_UP: SimTime = SimTime::from_millis(30);
+/// Maximum NACK transmissions for one lost frame.
+const NACK_RETRY_CAP: u32 = 3;
+/// Initial NACK retransmission timeout (time to wait for the repair
+/// before re-asking); roughly one RTT plus scheduling margin.
+const NACK_RTO: SimTime = SimTime::from_millis(80);
+/// Exponential backoff factor between NACK retries.
+const NACK_BACKOFF: f64 = 2.0;
 
 /// Cumulative feedback-channel counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,7 +97,6 @@ impl NackOutcome {
 /// The deterministic uplink feedback channel of one session.
 #[derive(Debug, Clone)]
 pub struct FeedbackChannel {
-    config: FeedbackConfig,
     plan: FaultPlan,
     /// Per-session salt namespace (derive with `seed_for(seed, session,
     /// StreamComponent::Feedback)`), so two sessions' feedback draws
@@ -123,18 +107,13 @@ pub struct FeedbackChannel {
 }
 
 impl FeedbackChannel {
-    pub fn new(config: FeedbackConfig, plan: FaultPlan, salt_base: u64) -> Self {
+    pub fn new(plan: FaultPlan, salt_base: u64) -> Self {
         Self {
-            config,
             plan,
             salt_base,
             sent: 0,
             stats: FeedbackStats::default(),
         }
-    }
-
-    pub fn config(&self) -> &FeedbackConfig {
-        &self.config
     }
 
     /// Put one feedback message on the uplink at `now`. Returns the
@@ -151,7 +130,7 @@ impl FeedbackChannel {
             return None;
         }
         self.stats.delivered += 1;
-        Some(now + self.config.owd_up + self.plan.dir_extra_delay(Direction::Uplink, now, salt))
+        Some(now + OWD_UP + self.plan.dir_extra_delay(Direction::Uplink, now, salt))
     }
 
     /// Run the full NACK repair loop for one lost frame, walking virtual
@@ -177,8 +156,8 @@ impl FeedbackChannel {
         let mut attempts = 0u32;
         let mut shed = 0u32;
         let mut send_at = detect;
-        let mut rto_secs = self.config.nack_rto.as_secs_f64();
-        while attempts < self.config.nack_retry_cap && send_at < deadline {
+        let mut rto_secs = NACK_RTO.as_secs_f64();
+        while attempts < NACK_RETRY_CAP && send_at < deadline {
             attempts += 1;
             if let Some(at_server) = self.send(FeedbackKind::Nack { seq: 0 }, send_at) {
                 if server_serves(at_server) {
@@ -205,7 +184,7 @@ impl FeedbackChannel {
                 }
             }
             send_at += SimTime::from_secs_f64(rto_secs);
-            rto_secs *= self.config.backoff;
+            rto_secs *= NACK_BACKOFF;
         }
         NackOutcome {
             repaired_at: None,
@@ -222,7 +201,7 @@ impl FeedbackChannel {
         }
     }
 
-    /// Restore a snapshot (config and plan travel with the caller).
+    /// Restore a snapshot (the plan travels with the caller).
     pub fn restore(&mut self, state: FeedbackState) {
         self.sent = state.sent;
         self.stats = state.stats;
@@ -238,7 +217,7 @@ mod tests {
     }
 
     fn channel(plan: FaultPlan) -> FeedbackChannel {
-        FeedbackChannel::new(FeedbackConfig::default(), plan, 0xFEED)
+        FeedbackChannel::new(plan, 0xFEED)
     }
 
     #[test]
@@ -357,8 +336,8 @@ mod tests {
     #[test]
     fn sessions_with_distinct_salt_bases_draw_independently() {
         let plan = FaultPlan::new(8).uplink_loss(secs(0.0), secs(100.0), 0.5);
-        let mut a = FeedbackChannel::new(FeedbackConfig::default(), plan.clone(), 0x1111);
-        let mut b = FeedbackChannel::new(FeedbackConfig::default(), plan, 0x2222);
+        let mut a = FeedbackChannel::new(plan.clone(), 0x1111);
+        let mut b = FeedbackChannel::new(plan, 0x2222);
         let mut diverged = false;
         for k in 0..200 {
             let t = secs(0.01 * k as f64);

@@ -55,7 +55,7 @@ pub use bytes::{ByteReader, ByteWriter, Frame, FrameError};
 pub use clock::SimTime;
 pub use error::NetError;
 pub use faults::{Corruption, Direction, Fault, FaultPlan, FaultWindow, FaultyLoss};
-pub use feedback::{FeedbackChannel, FeedbackConfig, FeedbackKind, FeedbackState, NackOutcome};
+pub use feedback::{FeedbackChannel, FeedbackKind, FeedbackState, NackOutcome};
 pub use jitter::{JitterBuffer, JitterConfig, JitterState};
 pub use loss::LossState;
 pub use trace::{NetworkKind, NetworkTrace};

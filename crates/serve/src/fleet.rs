@@ -107,22 +107,12 @@ impl ClientClass {
 pub struct ModelPlaneConfig {
     /// Per-server weight-cache capacity, bytes.
     pub cache_bytes: u64,
-    /// Classifier confidence below this floor serves the generic head.
-    pub confidence_floor: f64,
     /// Cold-load latency per megabyte of artifact: a cache miss delays
     /// the session's first chunk request by `bytes/MB × this`.
     pub load_secs_per_mb: f64,
     /// Compute charged to the admission controller per byte loaded on a
     /// cache miss (MACs) — a cold cache visibly throttles admission.
     pub load_macs_per_byte: f64,
-    /// Delta weight updates shipped per specialist session.
-    pub delta_updates: u32,
-    /// One delta update lands every this many completed chunks.
-    pub delta_every_chunks: usize,
-    /// Fraction of the specialist PSNR uplift held back until delta
-    /// updates land: the head ships at `1 − holdback` of its uplift and
-    /// each update closes `holdback / delta_updates` of the gap.
-    pub uplift_holdback: f64,
     /// Serve every session the generic head — the control arm the bench
     /// diffs against to measure per-category uplift.
     pub force_generic: bool,
@@ -134,12 +124,8 @@ impl Default for ModelPlaneConfig {
             // Holds roughly four specialist artifacts: enough for real
             // hits under a mixed-category fleet, small enough to evict.
             cache_bytes: 512 * 1024,
-            confidence_floor: 0.1,
             load_secs_per_mb: 0.25,
             load_macs_per_byte: 2.0e4,
-            delta_updates: 2,
-            delta_every_chunks: 1,
-            uplift_holdback: 0.25,
             force_generic: false,
         }
     }
@@ -192,6 +178,9 @@ pub struct FleetModelStats {
     pub delta_rejected: usize,
 }
 
+/// Seconds of video in one fleet chunk.
+pub(crate) const CHUNK_SECS: f64 = 2.0;
+
 /// Everything that defines one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -204,34 +193,26 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Bitrate ladder, kbps ascending.
     pub ladder_kbps: Vec<u32>,
-    pub chunk_seconds: f64,
     pub frames_per_chunk: usize,
     /// Every `anchor_stride`-th frame is an SR anchor (NEMO-style:
     /// super-resolve anchors, reuse between them).
     pub anchor_stride: usize,
     /// Session `i` arrives at `i * stagger_secs`.
     pub stagger_secs: f64,
-    /// Client buffer cap, seconds.
-    pub max_buffer_secs: f64,
     /// Mean packet loss and mean burst length of each session's
     /// Gilbert–Elliott channel.
     pub avg_loss: f64,
     pub mean_burst: f64,
-    /// Transport packet payload, bytes.
-    pub packet_bytes: f64,
     /// Server front door (each server gets its own controller with this
     /// budget).
     pub admission: AdmissionConfig,
     /// Shared enhancement backbone + compute model (per server).
     pub model: ServerModel,
-    /// Batcher flush cadence (also the event loop's coarsest step).
-    pub flush_tick_secs: f64,
     /// Faults hitting the shared uplink (every session sees these).
     pub fleet_faults: FaultPlan,
     /// Every `overlay_every`-th session gets a per-session fault overlay
     /// merged onto the fleet plan (0 disables overlays).
     pub overlay_every: usize,
-    pub qoe: QoeParams,
     /// Hard stop for the virtual clock (guards against a dead uplink).
     pub max_virtual_secs: f64,
     /// Per-session crash events: at `at_secs` the session's in-flight
@@ -288,20 +269,15 @@ impl FleetConfig {
             chunks_per_session: 4,
             seed,
             ladder_kbps: vec![512, 1024, 1600, 2640, 4400],
-            chunk_seconds: 2.0,
             frames_per_chunk: 30,
             anchor_stride: 10,
             stagger_secs: 0.25,
-            max_buffer_secs: 12.0,
             avg_loss: 0.02,
             mean_burst: 4.0,
-            packet_bytes: 1200.0,
             admission: AdmissionConfig::default(),
             model: ServerModel::small(),
-            flush_tick_secs: 0.25,
             fleet_faults: FaultPlan::new(0),
             overlay_every: 4,
-            qoe: QoeParams::default(),
             max_virtual_secs: 600.0,
             crash_plan: Vec::new(),
             server_restart: None,
@@ -800,7 +776,6 @@ struct FleetPlan {
 impl FleetPlan {
     fn new(cfg: &FleetConfig) -> Self {
         assert!(cfg.sessions > 0, "fleet needs at least one session");
-        assert!(cfg.flush_tick_secs > 0.0);
         let servers = cfg.servers.max(1);
         if let Some(r) = cfg.server_restart {
             assert!(r.server < servers, "restart names an unknown server");
@@ -1555,13 +1530,13 @@ fn assemble(
                     rebuffer_secs: c.rebuffer_secs,
                 })
                 .collect();
-            let qoe = session_qoe(&outcomes, &cfg.qoe);
+            let qoe = session_qoe(&outcomes, &QoeParams::default());
             let mean_utility = if outcomes.is_empty() {
                 0.0
             } else {
                 outcomes.iter().map(|c| c.utility_mbps).sum::<f64>() / outcomes.len() as f64
             };
-            let played = outcomes.len() as f64 * cfg.chunk_seconds;
+            let played = outcomes.len() as f64 * CHUNK_SECS;
             let stall_ratio = if played + d.rebuffer_total > 0.0 {
                 d.rebuffer_total / (played + d.rebuffer_total)
             } else {
@@ -1611,7 +1586,7 @@ fn assemble(
     let total_rebuffer: f64 = admitted.iter().map(|s| s.rebuffer_secs).sum();
     let total_played: f64 = admitted
         .iter()
-        .map(|s| s.chunks_played as f64 * cfg.chunk_seconds)
+        .map(|s| s.chunks_played as f64 * CHUNK_SECS)
         .sum();
     slacks.sort_by(f64::total_cmp);
     let p95 = nerve_obs::percentile_nearest_rank(&slacks, 0.95).unwrap_or(0.0);
@@ -2377,7 +2352,7 @@ mod tests {
                 if sm.head != 0 {
                     assert_eq!(
                         sm.version,
-                        cfg.model_plane.as_ref().unwrap().delta_updates,
+                        crate::server::DELTA_UPDATES,
                         "session {} must reach the target weight version",
                         s.id
                     );

@@ -19,7 +19,7 @@
 //!   the destination reconstructs the rest, so a ticket cannot smuggle
 //!   in state that disagrees with the fleet configuration.
 
-use crate::fleet::{ClientClass, FleetConfig, SessionModel};
+use crate::fleet::{ClientClass, FleetConfig, SessionModel, CHUNK_SECS};
 use crate::server::{make_abr, session_fault_plans, ChunkAcc, Phase, SessionState};
 use nerve_abr::qoe::QualityMaps;
 use nerve_abr::{AbrContext, CappedAbr};
@@ -101,15 +101,11 @@ pub(crate) fn decode_session(
     // Derived state: rebuilt, never transported.
     let class = ClientClass::of(id);
     let (own_faults, overlay) = session_fault_plans(cfg, id);
-    let mut abr = make_abr(cfg, maps, class);
+    let mut abr = make_abr(maps, class);
     if let Some(c) = cap {
         abr = Box::new(CappedAbr::new(abr, c));
     }
-    let mut ctx = AbrContext::bootstrap(
-        cfg.ladder_kbps.clone(),
-        cfg.chunk_seconds,
-        cfg.frames_per_chunk,
-    );
+    let mut ctx = AbrContext::bootstrap(cfg.ladder_kbps.clone(), CHUNK_SECS, cfg.frames_per_chunk);
     ctx.last_choice = last_choice;
     ctx.buffer_secs = ctx_buffer;
     ctx.throughput_kbps = throughput_kbps;

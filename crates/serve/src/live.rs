@@ -133,10 +133,11 @@ pub struct LiveServerConfig {
     pub limiter: FirLimiterConfig,
     /// Overload breaker gating NACK service.
     pub breaker: BreakerConfig,
-    /// I-frame encode cost as a multiple of one backbone forward pass
-    /// (keyframes are intra-coded: no reference to lean on).
-    pub keyframe_cost_factor: f64,
 }
+
+/// I-frame encode cost as a multiple of one backbone forward pass
+/// (keyframes are intra-coded: no reference to lean on).
+const KEYFRAME_COST_FACTOR: f64 = 3.0;
 
 impl Default for LiveServerConfig {
     fn default() -> Self {
@@ -144,7 +145,6 @@ impl Default for LiveServerConfig {
             model: ServerModel::small(),
             limiter: FirLimiterConfig::default(),
             breaker: BreakerConfig::default(),
-            keyframe_cost_factor: 3.0,
         }
     }
 }
@@ -203,7 +203,6 @@ nerve_net::wire_record!(LiveServerState {
 #[derive(Debug, Clone)]
 pub struct LiveServer {
     model: ServerModel,
-    keyframe_cost_factor: f64,
     weight: Tensor,
     bias: Vec<f32>,
     /// Per-session input seeds (index = session id).
@@ -222,7 +221,6 @@ impl LiveServer {
         Self {
             bias: vec![0.0; cfg.model.out_channels],
             model: cfg.model.clone(),
-            keyframe_cost_factor: cfg.keyframe_cost_factor,
             weight: cfg.model.backbone_weight(0x5EED_11FE_0001),
             input_seeds,
             limiter: FirLimiter::new(cfg.limiter),
@@ -287,7 +285,7 @@ impl LiveServer {
         // Same meter scope as the VOD batcher: server backbone compute.
         let out = meter::stage("batch", || conv2d(&stacked, &self.weight, &self.bias, spec));
         let spent = self.model.batch_overhead_secs
-            + sessions.len() as f64 * self.keyframe_cost_factor * self.model.macs_per_job()
+            + sessions.len() as f64 * KEYFRAME_COST_FACTOR * self.model.macs_per_job()
                 / self.model.macs_per_sec;
         let ready_at = now + SimTime::from_secs_f64(spent);
         self.tick_encode_secs += spent;

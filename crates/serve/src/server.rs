@@ -42,10 +42,10 @@ use crate::batcher::{BatcherStats, InferenceBatcher, InferenceJob, JobKind, Serv
 use crate::event_queue::{Event, EventKind, EventQueue};
 use crate::failure::{InvariantReport, ServerFailureCounters};
 use crate::fleet::{
-    session_category, ClientClass, FleetConfig, ModelPlaneConfig, SessionCounters, SessionModel,
+    session_category, ClientClass, FleetConfig, SessionCounters, SessionModel, CHUNK_SECS,
 };
-use nerve_abr::mpc::{EnhancementAwareAbr, EnhancementConfig};
-use nerve_abr::qoe::QualityMaps;
+use nerve_abr::mpc::{EnhancementAwareAbr, EnhancementConfig, PACKET_BYTES};
+use nerve_abr::qoe::{QoeParams, QualityMaps};
 use nerve_abr::{Abr, AbrContext, CappedAbr};
 use nerve_model::cache::{CacheStats, WeightCache, WeightCacheState};
 use nerve_model::delta::{delta_for, weights_at, DeltaError, WeightDelta};
@@ -197,12 +197,8 @@ impl SessionState {
             cap: None,
             rejected: false,
             admitted: false,
-            abr: make_abr(cfg, maps, class),
-            ctx: AbrContext::bootstrap(
-                cfg.ladder_kbps.clone(),
-                cfg.chunk_seconds,
-                cfg.frames_per_chunk,
-            ),
+            abr: make_abr(maps, class),
+            ctx: AbrContext::bootstrap(cfg.ladder_kbps.clone(), CHUNK_SECS, cfg.frames_per_chunk),
             phase: Phase::Waiting {
                 until: SimTime::from_secs_f64(id as f64 * cfg.stagger_secs),
             },
@@ -234,7 +230,7 @@ impl SessionState {
 pub(crate) fn demand_at(cfg: &FleetConfig, cap: usize) -> SessionDemand {
     let anchors = (cfg.frames_per_chunk / cfg.anchor_stride.max(1)) as f64;
     let expected_damaged = cfg.frames_per_chunk as f64 * cfg.avg_loss;
-    let jobs_per_sec = (anchors + expected_damaged) / cfg.chunk_seconds;
+    let jobs_per_sec = (anchors + expected_damaged) / CHUNK_SECS;
     let macs_per_job =
         cfg.model.macs_per_job() * crate::batcher::ServerModel::rung_scale(&cfg.ladder_kbps, cap);
     SessionDemand {
@@ -245,10 +241,10 @@ pub(crate) fn demand_at(cfg: &FleetConfig, cap: usize) -> SessionDemand {
 
 /// The class's enhancement-aware controller (rebuilt, not serialized, at
 /// handoff: the controllers are pure functions of maps + parameters).
-pub(crate) fn make_abr(cfg: &FleetConfig, maps: &QualityMaps, class: ClientClass) -> Box<dyn Abr> {
+pub(crate) fn make_abr(maps: &QualityMaps, class: ClientClass) -> Box<dyn Abr> {
     Box::new(EnhancementAwareAbr::new(
         maps.clone(),
-        cfg.qoe,
+        QoeParams::default(),
         EnhancementConfig {
             recovery_aware: class.recovery(),
             sr_aware: class.sr(),
@@ -312,16 +308,25 @@ pub(crate) fn fair_share_rates(pool: f64, entries: &[(f64, f64)]) -> Vec<f64> {
         .collect()
 }
 
+/// Classifier confidence below this floor serves the generic head.
+const CONFIDENCE_FLOOR: f64 = 0.1;
+/// Delta weight updates shipped per specialist session, one per
+/// completed chunk.
+pub(crate) const DELTA_UPDATES: u32 = 2;
+/// Fraction of the specialist PSNR uplift held back until the delta
+/// updates land.
+const UPLIFT_HOLDBACK: f64 = 0.25;
+/// Client buffer cap, seconds.
+const MAX_BUFFER_SECS: f64 = 12.0;
+/// Batcher flush cadence (also the event loop's coarsest step), µs.
+const FLUSH_TICK_US: u64 = 250_000;
+
 /// PSNR uplift (dB) a specialist session enjoys with `version` delta
 /// updates applied: the head ships at `1 − holdback` of its calibrated
 /// uplift and each update closes an equal share of the held-back gap.
-pub(crate) fn effective_uplift(mp: &ModelPlaneConfig, cat: Category, version: u32) -> f64 {
-    let full = specialist_uplift_db(cat);
-    if mp.delta_updates == 0 {
-        return full;
-    }
-    let progress = version.min(mp.delta_updates) as f64 / mp.delta_updates as f64;
-    full * (1.0 - mp.uplift_holdback + mp.uplift_holdback * progress)
+pub(crate) fn effective_uplift(cat: Category, version: u32) -> f64 {
+    let progress = version.min(DELTA_UPDATES) as f64 / DELTA_UPDATES as f64;
+    specialist_uplift_db(cat) * (1.0 - UPLIFT_HOLDBACK + UPLIFT_HOLDBACK * progress)
 }
 
 /// Fleet-level registry counters, bound once per run when an
@@ -435,7 +440,6 @@ pub(crate) struct ServerSim<'a> {
     /// Sessions not yet [`Phase::Done`]; the all-done test is O(1).
     undone: usize,
     done: bool,
-    tick_us: u64,
     last_tick: Option<SimTime>,
     /// Rate generation; completion probes from older generations are
     /// stale and ignored.
@@ -492,7 +496,6 @@ impl<'a> ServerSim<'a> {
         if let Some(reg) = shared_registry {
             batcher = batcher.with_registry(reg);
         }
-        let tick_us = (cfg.flush_tick_secs * 1e6).round().max(1.0) as u64;
         let mut sim = Self {
             id,
             cfg,
@@ -507,7 +510,6 @@ impl<'a> ServerSim<'a> {
             now: SimTime::ZERO,
             undone: 0,
             done: false,
-            tick_us,
             last_tick: None,
             gen: 0,
             down_until: None,
@@ -640,7 +642,7 @@ impl<'a> ServerSim<'a> {
         // at every boundary — this is also what walks the clock through
         // an all-rates-zero blackout) or while jobs wait on a flush.
         if !self.active.is_empty() || self.batcher.pending() > 0 {
-            let next_tick = SimTime(((t.0 / self.tick_us) + 1) * self.tick_us);
+            let next_tick = SimTime(((t.0 / FLUSH_TICK_US) + 1) * FLUSH_TICK_US);
             if self.last_tick != Some(next_tick) {
                 self.queue.schedule(t, next_tick, EventKind::Tick);
                 self.last_tick = Some(next_tick);
@@ -716,9 +718,9 @@ impl<'a> ServerSim<'a> {
                 self.slacks.push(o.slack_secs);
                 // A specialist head lifts every fully served frame; the
                 // uplift ramps in as delta updates land.
-                if let (Some(mp), Some(m)) = (self.cfg.model_plane.as_ref(), s.model.as_ref()) {
+                if let Some(m) = s.model.as_ref().filter(|_| self.cfg.model_plane.is_some()) {
                     if let Some(HeadId::Specialist(cat)) = HeadId::from_code(m.head) {
-                        psnr += effective_uplift(mp, cat, m.version);
+                        psnr += effective_uplift(cat, m.version);
                     }
                 }
             }
@@ -867,7 +869,7 @@ impl<'a> ServerSim<'a> {
                     }
                 }
                 Admission::Downgrade { cap } => {
-                    let inner = make_abr(self.cfg, self.maps, s.class);
+                    let inner = make_abr(self.maps, s.class);
                     s.abr = Box::new(CappedAbr::new(inner, cap));
                     s.cap = Some(cap);
                     s.admitted = true;
@@ -923,7 +925,7 @@ impl<'a> ServerSim<'a> {
                 } else {
                     let fp = Fingerprint::probe_memo(self.cfg.seed, session as u64, category);
                     let d = Classifier::shared().classify(&fp);
-                    (d.head(mp.confidence_floor), d.confidence)
+                    (d.head(CONFIDENCE_FLOOR), d.confidence)
                 };
                 let bytes = artifact_bytes(head);
                 let outcome = cache.request(head, bytes);
@@ -980,7 +982,7 @@ impl<'a> ServerSim<'a> {
         s.ctx.buffer_secs = s.buffer_secs;
         let rung = s.abr.choose(&s.ctx).min(top_rung);
         s.ctx.last_choice = rung;
-        let bytes = f64::from(self.cfg.ladder_kbps[rung]) * 1000.0 / 8.0 * self.cfg.chunk_seconds;
+        let bytes = f64::from(self.cfg.ladder_kbps[rung]) * 1000.0 / 8.0 * CHUNK_SECS;
         s.rung_sum += rung;
         s.chunks[s.chunk_idx].started = true;
         s.chunks[s.chunk_idx].rung = rung;
@@ -1011,7 +1013,7 @@ impl<'a> ServerSim<'a> {
             _ => unreachable!("completion scan found a non-downloading session"),
         };
         let cfg = self.cfg;
-        let delta = cfg.chunk_seconds / cfg.frames_per_chunk as f64;
+        let delta = CHUNK_SECS / cfg.frames_per_chunk as f64;
         let dl_secs = self.now.saturating_sub(started).as_secs_f64().max(1e-6);
         let rebuffer = (dl_secs - buffer_at_start).max(0.0);
         s.rebuffer_total += rebuffer;
@@ -1027,7 +1029,7 @@ impl<'a> ServerSim<'a> {
         // models.
         let play_base = buffer_at_start + rebuffer;
         let pkts_per_frame =
-            ((bytes_total / cfg.frames_per_chunk as f64) / cfg.packet_bytes).ceil() as usize;
+            ((bytes_total / cfg.frames_per_chunk as f64) / PACKET_BYTES as f64).ceil() as usize;
         let mut damaged_frames = 0usize;
         for frame in 0..cfg.frames_per_chunk {
             let arr = started
@@ -1095,20 +1097,17 @@ impl<'a> ServerSim<'a> {
             s.ctx.throughput_kbps.remove(0);
             s.ctx.loss_rates.remove(0);
         }
-        s.buffer_secs = (buffer_at_start - dl_secs).max(0.0) + cfg.chunk_seconds;
+        s.buffer_secs = (buffer_at_start - dl_secs).max(0.0) + CHUNK_SECS;
         s.buffer_asof = self.now;
         s.chunk_idx += 1;
 
-        // Delta weight updates: on the configured chunk cadence, ship
-        // the next `"NRVM"` frame to a specialist session until it
-        // reaches the target version. The update round-trips through the
-        // real codec against replayed weights — a refusal is counted on
-        // the session, never fatal.
-        if let (Some(mp), Some(m)) = (cfg.model_plane.as_ref(), s.model.as_mut()) {
-            if m.version < mp.delta_updates
-                && mp.delta_every_chunks > 0
-                && s.chunk_idx.is_multiple_of(mp.delta_every_chunks)
-            {
+        // Delta weight updates: after every chunk, ship the next
+        // `"NRVM"` frame to a specialist session until it reaches the
+        // target version. The update round-trips through the real codec
+        // against replayed weights — a refusal is counted on the
+        // session, never fatal.
+        if let Some(m) = s.model.as_mut().filter(|_| cfg.model_plane.is_some()) {
+            if m.version < DELTA_UPDATES {
                 if let Some(head @ HeadId::Specialist(_)) = HeadId::from_code(m.head) {
                     let frame = delta_for(cfg.seed, head, m.version).to_bytes();
                     let mut w = weights_at(cfg.seed, head, m.version);
@@ -1142,10 +1141,10 @@ impl<'a> ServerSim<'a> {
         if s.chunk_idx >= cfg.chunks_per_session {
             s.phase = Phase::Done;
             self.undone -= 1;
-        } else if s.buffer_secs > cfg.max_buffer_secs {
+        } else if s.buffer_secs > MAX_BUFFER_SECS {
             // Hold the next request until the buffer drains back to the
             // cap (the wake-up path drains it by the idle time).
-            let wait = s.buffer_secs - cfg.max_buffer_secs;
+            let wait = s.buffer_secs - MAX_BUFFER_SECS;
             let until = self.now + SimTime::from_secs_f64(wait);
             s.phase = Phase::Waiting { until };
             self.queue
@@ -1183,7 +1182,7 @@ impl<'a> ServerSim<'a> {
     /// flush boundary and the server is up.
     fn settle_instant(&mut self, obs: &mut Option<&mut Obs>) {
         self.scan_completions(obs);
-        if self.server_up() && self.now.0.is_multiple_of(self.tick_us) {
+        if self.server_up() && self.now.0.is_multiple_of(FLUSH_TICK_US) {
             self.flush_batcher(obs);
         }
         // Session-conservation census (debug builds): every resident
@@ -1520,7 +1519,6 @@ impl<'a> ServerSim<'a> {
                 }
             }
         }
-        let chunk_secs = self.cfg.chunk_seconds;
         let label = if matches!(s.phase, Phase::Done) {
             "done"
         } else {
@@ -1539,10 +1537,10 @@ impl<'a> ServerSim<'a> {
                 }
                 s.admitted = false;
                 s.cap = None;
-                s.abr = make_abr(self.cfg, self.maps, s.class);
+                s.abr = make_abr(self.maps, s.class);
                 s.ctx = AbrContext::bootstrap(
                     self.cfg.ladder_kbps.clone(),
-                    chunk_secs,
+                    CHUNK_SECS,
                     self.cfg.frames_per_chunk,
                 );
                 s.buffer_secs = 0.0;
@@ -1588,7 +1586,7 @@ impl<'a> ServerSim<'a> {
                 if freeze <= 0.0 {
                     self.failc.evac_warp += 1;
                     "warp"
-                } else if freeze < chunk_secs {
+                } else if freeze < CHUNK_SECS {
                     self.failc.evac_freeze += 1;
                     "freeze"
                 } else {

@@ -5,7 +5,7 @@
 //!   nerve-experiments --quick        # small budget (seconds)
 //!   nerve-experiments fig12 tab01    # run selected experiments
 //!   nerve-experiments --jobs 4      # sweep worker pool size
-//!   nerve-experiments --bench-out[=PATH]  # write BENCH_sweep.json
+//!   nerve-experiments --bench-out[=PATH]  # write BENCH_experiments.json
 //!   nerve-experiments fleet --sessions 64  # multi-session edge server
 //!   nerve-experiments fleet --servers 8 --placement least-loaded
 //!   nerve-experiments fleet --model-plane  # specialist heads + weight cache
@@ -104,7 +104,7 @@ fn main() {
                 Some(v) if !v.starts_with("--") && !is_experiment_name(v) => {
                     bench_out = Some(it.next().unwrap().clone());
                 }
-                _ => bench_out = Some("BENCH_sweep.json".to_string()),
+                _ => bench_out = Some("BENCH_experiments.json".to_string()),
             }
         } else if let Some(v) = a.strip_prefix("--bench-out=") {
             bench_out = Some(v.to_string());

@@ -20,6 +20,7 @@
 
 use nerve_sim::experiments::fleet;
 use nerve_sim::sweep;
+use nerve_tensor::par::with_workers;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -261,14 +262,6 @@ fn main() {
 
 /// Run `f` with the pool pinned to `n` workers, restoring the previous
 /// count afterwards.
-fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = sweep::workers();
-    sweep::set_workers(n);
-    let out = f();
-    sweep::set_workers(prev);
-    out
-}
-
 fn die(msg: &str) -> ! {
     eprintln!("nerve-fleet-bench: {msg}");
     std::process::exit(2);

@@ -16,6 +16,7 @@
 
 use nerve_sim::experiments::fleet;
 use nerve_sim::sweep;
+use nerve_tensor::par::with_workers;
 use nerve_video::rng::{seed_for, StreamComponent};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -188,14 +189,6 @@ fn main() {
 
 /// Run `f` with the pool pinned to `n` workers, restoring the previous
 /// count afterwards.
-fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = sweep::workers();
-    sweep::set_workers(n);
-    let out = f();
-    sweep::set_workers(prev);
-    out
-}
-
 fn die(msg: &str) -> ! {
     eprintln!("nerve-model-bench: {msg}");
     std::process::exit(2);

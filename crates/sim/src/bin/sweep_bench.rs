@@ -15,6 +15,7 @@ use nerve_sim::experiments::{qoe, ExperimentBudget};
 use nerve_sim::scenarios::run_chaos_matrix;
 use nerve_sim::session::Scheme;
 use nerve_sim::sweep;
+use nerve_tensor::par::with_workers;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -147,14 +148,6 @@ fn main() {
 
 /// Run `f` with the pool pinned to `n` workers, restoring the previous
 /// count afterwards.
-fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = sweep::workers();
-    sweep::set_workers(n);
-    let out = f();
-    sweep::set_workers(prev);
-    out
-}
-
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let out = f();

@@ -2,8 +2,9 @@
 
 use super::ExperimentBudget;
 use crate::report::{Figure, Series};
-use crate::session::{FecMode, LatePolicy, Scheme, SessionConfig, StreamingSession};
+use crate::session::{FecMode, Scheme, SessionConfig, SessionRunner};
 use nerve_abr::qoe::QualityMaps;
+use nerve_core::DegradationLadder;
 use nerve_fec::packetize;
 use nerve_fec::rs::ReedSolomon;
 use nerve_net::loss::{GilbertElliott, LossModel};
@@ -96,7 +97,7 @@ pub fn fig02_fec_qoe(budget: &ExperimentBudget, maps: &QualityMaps) -> Figure {
                     let scheme = if recovery {
                         Scheme::recovery_aware()
                     } else {
-                        Scheme::without_recovery().with_late_policy(LatePolicy::Reuse)
+                        Scheme::without_recovery().with_ladder(DegradationLadder::reuse_only())
                     }
                     .with_fec(FecMode::Fixed(ratio));
                     // No transport retransmission: FEC is the only
@@ -106,7 +107,7 @@ pub fn fig02_fec_qoe(budget: &ExperimentBudget, maps: &QualityMaps) -> Figure {
                     let mut cfg = SessionConfig::new(trace, maps.clone(), scheme);
                     cfg.chunks = budget.chunks_per_trace;
                     cfg.seed = budget.seed + t as u64;
-                    total += StreamingSession::new(cfg).run(None).qoe;
+                    total += SessionRunner::new(cfg).run(None).qoe;
                 }
                 series.push(ratio, total / budget.traces_per_network as f64);
             }

@@ -21,7 +21,6 @@ use nerve_serve::{
 use nerve_tensor::meter;
 use nerve_video::rng::{seed_for, StreamComponent};
 use nerve_video::synth::Category;
-use std::fmt::Write as _;
 
 /// The session counts one fleet report covers: 1 and 8 as fixed
 /// reference points, plus the requested count.
@@ -299,18 +298,23 @@ pub fn failover_report(n: usize, servers: usize, seed: u64, failures: &[ServerFa
 /// `--jobs` value.
 pub fn failover_trace(n: usize, servers: usize, seed: u64, failures: &[ServerFailure]) -> String {
     let (cfg, trace) = failover_config(n, servers, seed, failures);
+    traced_point(
+        &format!("\"fleet_point\":{n},\"failures\":{}", failures.len()),
+        &cfg,
+        &trace,
+    )
+}
+
+/// One fleet run with the observability plane attached, rendered as
+/// JSONL: a header line (`header`'s fields plus the digest length), the
+/// span/event log, the per-stage MACs/bytes cost profile, and the
+/// metrics snapshot.
+fn traced_point(header: &str, cfg: &FleetConfig, trace: &NetworkTrace) -> String {
     let mut obs = Obs::trace();
     meter::start();
-    let result = run_fleet_obs(&cfg, &trace, Some(&mut obs));
-    let profile = meter::stop();
-    profile.export(&obs.registry);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"fleet_point\":{n},\"failures\":{},\"digest_len\":{}}}",
-        failures.len(),
-        result.digest().len()
-    );
+    let result = run_fleet_obs(cfg, trace, Some(&mut obs));
+    meter::stop().export(&obs.registry);
+    let mut out = format!("{{{header},\"digest_len\":{}}}\n", result.digest().len());
     if let Some(lines) = obs.trace_lines() {
         out.push_str(lines);
     }
@@ -470,22 +474,11 @@ pub fn model_fleet_trace(
     let points = fleet_points(sessions);
     let traced = sweep::map(&points, |_, &n| {
         let (cfg, trace) = model_fleet_config(n, chunks, seed, servers, placement);
-        let mut obs = Obs::trace();
-        meter::start();
-        let result = run_fleet_obs(&cfg, &trace, Some(&mut obs));
-        let profile = meter::stop();
-        profile.export(&obs.registry);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"fleet_point\":{n},\"model_plane\":true,\"digest_len\":{}}}",
-            result.digest().len()
-        );
-        if let Some(lines) = obs.trace_lines() {
-            out.push_str(lines);
-        }
-        out.push_str(&obs.registry.snapshot().render_jsonl());
-        out
+        traced_point(
+            &format!("\"fleet_point\":{n},\"model_plane\":true"),
+            &cfg,
+            &trace,
+        )
     });
     traced.concat()
 }
@@ -527,22 +520,7 @@ pub fn fleet_trace(
     let points = fleet_points(sessions);
     let traced = sweep::map(&points, |_, &n| {
         let (cfg, trace) = fleet_config_multi(n, chunks, seed, servers, placement);
-        let mut obs = Obs::trace();
-        meter::start();
-        let result = run_fleet_obs(&cfg, &trace, Some(&mut obs));
-        let profile = meter::stop();
-        profile.export(&obs.registry);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"fleet_point\":{n},\"digest_len\":{}}}",
-            result.digest().len()
-        );
-        if let Some(lines) = obs.trace_lines() {
-            out.push_str(lines);
-        }
-        out.push_str(&obs.registry.snapshot().render_jsonl());
-        out
+        traced_point(&format!("\"fleet_point\":{n}"), &cfg, &trace)
     });
     traced.concat()
 }

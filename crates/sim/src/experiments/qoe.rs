@@ -2,10 +2,11 @@
 
 use super::ExperimentBudget;
 use crate::report::{fmt_f, Figure, Series, Table};
-use crate::session::{FecMode, LatePolicy, Scheme, SessionConfig, SessionResult, StreamingSession};
+use crate::session::{FecMode, Scheme, SessionConfig, SessionResult, SessionRunner};
 use crate::sweep;
 use nerve_abr::fec_table::FecTable;
 use nerve_abr::qoe::QualityMaps;
+use nerve_core::DegradationLadder;
 use nerve_net::trace::{NetworkKind, NetworkTrace};
 
 /// One sweep unit: a single (trace, seed, scheme) session on a network
@@ -27,7 +28,7 @@ fn run_unit(
     let mut cfg = SessionConfig::new(trace, maps.clone(), scheme.clone());
     cfg.chunks = budget.chunks_per_trace;
     cfg.seed = budget.seed + t as u64;
-    let r: SessionResult = StreamingSession::new(cfg).run(None);
+    let r: SessionResult = SessionRunner::new(cfg).run(None);
     (r.qoe, r.recovered_fraction, r.recovered_frame_qoe)
 }
 
@@ -135,7 +136,7 @@ pub fn tab03_recovered_qoe(budget: &ExperimentBudget, maps: &QualityMaps) -> Tab
     let schemes = [
         (
             "w/o RC",
-            Scheme::without_recovery().with_late_policy(LatePolicy::Reuse),
+            Scheme::without_recovery().with_ladder(DegradationLadder::reuse_only()),
         ),
         ("RC alone", Scheme::recovery_alone()),
         ("Our", Scheme::recovery_aware()),
@@ -187,7 +188,7 @@ pub fn fig14_5g_timeseries(budget: &ExperimentBudget, maps: &QualityMaps) -> Fig
         let mut cfg = SessionConfig::new(trace.clone(), maps.clone(), scheme.clone());
         cfg.chunks = budget.chunks_per_trace;
         cfg.seed = budget.seed;
-        StreamingSession::new(cfg).run(None)
+        SessionRunner::new(cfg).run(None)
     });
     for ((name, _), result) in schemes.iter().zip(results.iter()) {
         let mut s = Series::new(*name);
@@ -207,7 +208,7 @@ pub fn fig14_5g_timeseries(budget: &ExperimentBudget, maps: &QualityMaps) -> Fig
 
 /// Figure 15: lossy networks, FEC disabled, no transport retransmission.
 pub fn fig15_lossy_no_fec(budget: &ExperimentBudget, maps: &QualityMaps) -> Table {
-    let mut without = Scheme::without_recovery().with_late_policy(LatePolicy::Reuse);
+    let mut without = Scheme::without_recovery().with_ladder(DegradationLadder::reuse_only());
     without.retransmission = false;
     let mut alone = Scheme::recovery_alone();
     alone.retransmission = false;
@@ -257,7 +258,7 @@ pub fn build_fec_table(
 
 /// Figure 16: lossy networks with per-scheme FEC lookup tables.
 pub fn fig16_lossy_with_fec(budget: &ExperimentBudget, maps: &QualityMaps) -> Table {
-    let mut without = Scheme::without_recovery().with_late_policy(LatePolicy::Reuse);
+    let mut without = Scheme::without_recovery().with_ladder(DegradationLadder::reuse_only());
     without.retransmission = false;
     let mut alone = Scheme::recovery_alone();
     alone.retransmission = false;

@@ -12,6 +12,7 @@
 //! DNN-quality and QoE experiments each have their own dedicated
 //! machinery; this is the cross-check that ties them together.
 
+use nerve_abr::mpc::PACKET_BYTES;
 use nerve_codec::packet::{packetize, slice_presence, VideoPacket};
 use nerve_codec::rate::{encode_chunk_at_kbps, RateController};
 use nerve_codec::{Decoder, Encoder, EncoderConfig};
@@ -132,7 +133,7 @@ pub fn run_pixel_session(config: &PixelSessionConfig) -> PixelSessionResult {
         for (fi, e) in encoded.iter().enumerate() {
             let gt = &frames[fi];
             // Transmit each slice as packets.
-            let packets = packetize(e, 1200);
+            let packets = packetize(e, PACKET_BYTES);
             let sizes: Vec<usize> = packets.iter().map(|p| p.wire_bytes()).collect();
             let outcomes = media.send_burst(&sizes, now);
             now += SimTime::from_millis(33);

@@ -13,7 +13,7 @@
 //! real history when the episode hits, which is the interesting regime:
 //! steady state → fault → degrade → recover.
 
-use crate::session::{ReconnectPolicy, Scheme, SessionConfig, SessionResult, StreamingSession};
+use crate::session::{Scheme, SessionConfig, SessionResult, SessionRunner};
 use crate::sweep;
 use nerve_abr::qoe::QualityMaps;
 use nerve_net::clock::SimTime;
@@ -41,9 +41,9 @@ pub enum ChaosScenario {
     /// 30% of delivered payloads corrupted for 4 s; one in five beats the
     /// transport checksum and must be caught downstream.
     CodeCorruption,
-    /// A 3 s bearer death mid-stream. With a reconnect policy the session
+    /// A 3 s bearer death mid-stream. With reconnect armed the session
     /// tears down, reconnects, and resumes from its checkpoint; without
-    /// one it is an ordinary blackout.
+    /// it this is an ordinary blackout.
     Disconnect,
     /// The acceptance scenario: a 2 s blackout, then a delay spike, with
     /// corruption (some residual) overlapping both.
@@ -129,7 +129,7 @@ pub fn run_chaos(
     chunks: usize,
     obs: Option<&mut Obs>,
 ) -> SessionResult {
-    StreamingSession::new(chaos_config(scenario, kind, scheme, seed, chunks)).run(obs)
+    SessionRunner::new(chaos_config(scenario, kind, scheme, seed, chunks)).run(obs)
 }
 
 /// The session configuration [`run_chaos`] builds: the same
@@ -151,20 +151,18 @@ pub fn chaos_config(
     cfg
 }
 
-/// [`run_chaos`] with the crash plane armed: outages past the policy's
-/// blackout threshold tear the session down and resume it from a
-/// serialized checkpoint instead of merely starving the link.
+/// [`run_chaos`] with the crash plane armed: outages past the blackout
+/// threshold tear the session down and resume it from a serialized
+/// checkpoint instead of merely starving the link.
 pub fn run_chaos_with_reconnect(
     scenario: ChaosScenario,
     kind: NetworkKind,
     scheme: Scheme,
     seed: u64,
     chunks: usize,
-    policy: ReconnectPolicy,
 ) -> SessionResult {
-    let mut cfg = chaos_config(scenario, kind, scheme, seed, chunks);
-    cfg.reconnect = Some(policy);
-    StreamingSession::new(cfg).run(None)
+    SessionRunner::new(chaos_config(scenario, kind, scheme, seed, chunks).with_reconnect())
+        .run(None)
 }
 
 /// The full scenario × network matrix for one scheme, fanned across the

@@ -33,7 +33,8 @@
 use nerve_tensor::conv::{conv2d, conv2d_with, ConvSpec, Kernel};
 use nerve_tensor::fused::{head_forward, PlaneSource};
 use nerve_tensor::net::Conv2d;
-use nerve_tensor::{par, Tensor};
+use nerve_tensor::par::{self, with_workers};
+use nerve_tensor::Tensor;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -464,14 +465,6 @@ fn time_macs_per_sec(macs_per_call: u64, mut fs: Vec<Box<dyn FnMut() + '_>>) -> 
             rates[REPEATS / 2]
         })
         .collect()
-}
-
-fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let prev = par::workers();
-    par::set_workers(n);
-    let out = f();
-    par::set_workers(prev);
-    out
 }
 
 fn fill(seed: u32, len: usize) -> Vec<f32> {

@@ -54,6 +54,16 @@ pub fn set_workers(n: usize) {
     WORKERS.store(n.max(1), Ordering::Relaxed);
 }
 
+/// Run `f` with the process-wide worker count set to `n`, then restore
+/// the previous count (the benches time one workload at 1 and N).
+pub fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let prev = workers();
+    set_workers(n);
+    let out = f();
+    set_workers(prev);
+    out
+}
+
 thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }

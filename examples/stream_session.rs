@@ -5,7 +5,7 @@
 
 use nerve::abr::qoe::QualityMaps;
 use nerve::net::trace::{NetworkKind, NetworkTrace};
-use nerve::sim::session::{Scheme, SessionConfig, StreamingSession};
+use nerve::sim::session::{Scheme, SessionConfig, SessionRunner};
 
 fn main() {
     let trace = NetworkTrace::generate(NetworkKind::FiveG, 2024).downscaled(1.5);
@@ -23,7 +23,7 @@ fn main() {
     ] {
         let mut cfg = SessionConfig::new(trace.clone(), maps.clone(), scheme);
         cfg.chunks = 30;
-        let result = StreamingSession::new(cfg).run(None);
+        let result = SessionRunner::new(cfg).run(None);
         println!("\n--- {name} ---");
         println!("session QoE:        {:.3}", result.qoe);
         println!("rebuffering:        {:.2} s", result.total_rebuffer_secs);

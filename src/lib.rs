@@ -83,7 +83,7 @@ pub mod prelude {
     pub use nerve_net::trace::{NetworkKind, NetworkTrace};
     pub use nerve_obs::{Obs, Registry};
     pub use nerve_serve::{run_fleet, run_fleet_obs, FleetConfig, FleetResult};
-    pub use nerve_sim::session::{SessionConfig, StreamingSession};
+    pub use nerve_sim::session::{SessionConfig, SessionRunner};
     pub use nerve_video::{
         frame::Frame,
         metrics::{psnr, ssim},

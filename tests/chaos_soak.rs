@@ -14,7 +14,7 @@ use nerve_net::reliable::ReliableChannel;
 use nerve_net::trace::{NetworkKind, NetworkTrace};
 use nerve_obs::Obs;
 use nerve_sim::scenarios::{run_chaos, run_chaos_matrix, run_chaos_with_reconnect, ChaosScenario};
-use nerve_sim::session::{ReconnectPolicy, Scheme};
+use nerve_sim::session::{Scheme, SessionRunner};
 
 const CHUNKS: usize = 12;
 
@@ -121,7 +121,6 @@ fn disconnect_soak_reconnects_and_is_digest_stable() {
                     Scheme::nerve(),
                     seed,
                     CHUNKS,
-                    ReconnectPolicy::default(),
                 )
             };
             // One arm runs with the metrics plane attached — the
@@ -136,8 +135,8 @@ fn disconnect_soak_reconnects_and_is_digest_stable() {
                 seed,
                 CHUNKS,
             );
-            cfg.reconnect = Some(ReconnectPolicy::default());
-            let a = nerve_sim::session::StreamingSession::new(cfg).run(Some(&mut obs));
+            cfg.reconnect = true;
+            let a = SessionRunner::new(cfg).run(Some(&mut obs));
             let b = run();
             let label = format!("{} seed {seed}", kind.label());
 

@@ -2,7 +2,7 @@
 
 use nerve::abr::qoe::QualityMaps;
 use nerve::net::trace::{NetworkKind, NetworkTrace};
-use nerve::sim::session::{Scheme, SessionConfig, StreamingSession};
+use nerve::sim::session::{Scheme, SessionConfig, SessionRunner};
 
 fn maps() -> QualityMaps {
     QualityMaps::placeholder(&[512, 1024, 1600, 2640, 4400])
@@ -13,7 +13,7 @@ fn run(kind: NetworkKind, scheme: Scheme, seed: u64) -> f64 {
     let mut cfg = SessionConfig::new(trace, maps(), scheme);
     cfg.chunks = 15;
     cfg.seed = seed;
-    StreamingSession::new(cfg).run(None).qoe
+    SessionRunner::new(cfg).run(None).qoe
 }
 
 #[test]

@@ -13,7 +13,7 @@ use nerve::net::faults::FaultPlan;
 use nerve::net::trace::{NetworkKind, NetworkTrace};
 use nerve::sim::checkpoint::SessionCheckpoint;
 use nerve::sim::experiments::fleet;
-use nerve::sim::session::{DeltaPlanConfig, ReconnectPolicy, Scheme, SessionConfig, SessionRunner};
+use nerve::sim::session::{Scheme, SessionConfig, SessionRunner};
 use nerve::sim::sweep;
 use nerve_obs::Obs;
 use std::sync::Mutex;
@@ -75,8 +75,7 @@ fn disconnect_cfg(seed: u64) -> SessionConfig {
     let mut cfg = SessionConfig::new(trace, maps, Scheme::nerve());
     cfg.chunks = 20;
     cfg.seed = seed;
-    cfg.with_faults(faults)
-        .with_reconnect(ReconnectPolicy::default())
+    cfg.with_faults(faults).with_reconnect()
 }
 
 #[test]
@@ -93,7 +92,7 @@ fn session_trace_is_byte_identical_across_kill_and_resume() {
     let reference_log = whole.trace_lines().expect("trace recorder keeps lines");
 
     // Attaching the recorder never changes the computation.
-    let plain = nerve::sim::session::StreamingSession::new(cfg.clone()).run(None);
+    let plain = SessionRunner::new(cfg.clone()).run(None);
     assert_eq!(
         plain.invariant_digest(),
         reference.invariant_digest(),
@@ -173,7 +172,7 @@ fn model_fleet_trace_is_byte_identical_across_worker_counts() {
 /// the final weight CRC) must match the uninterrupted run exactly.
 #[test]
 fn delta_session_trace_is_byte_identical_across_kill_and_resume() {
-    let cfg = disconnect_cfg(27).with_delta(DeltaPlanConfig::default());
+    let cfg = disconnect_cfg(27).with_delta();
 
     let mut whole = Obs::trace();
     let mut runner = SessionRunner::new(cfg.clone());
