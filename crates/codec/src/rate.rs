@@ -192,4 +192,44 @@ mod tests {
     fn single_frame_chunk_gets_whole_budget() {
         assert_eq!(frame_budgets(5_000, 1), vec![5_000]);
     }
+
+    /// Folds `bytes` into a 64-bit FNV-1a hash.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The 64-bit FNV-1a of every frame's kind, `qscale` bits and slice
+    /// bytes from `encode_chunk_at_kbps`, on synthetic clips at the five
+    /// scale-8 ladder sizes (none a multiple of 16, so every frame has
+    /// partial edge macroblocks) and at one size smaller than a
+    /// macroblock. Any change to motion search, transform, quantizer or
+    /// rate control moves it.
+    #[test]
+    fn chunk_bytes_are_pinned() {
+        use nerve_video::resolution::Resolution;
+        let mut cases: Vec<(usize, usize, u32)> = Resolution::LADDER
+            .iter()
+            .map(|r| (r.dims().0 / 8, r.dims().1 / 8, r.bitrate_kbps() / 8))
+            .collect();
+        cases.push((12, 9, 40));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (i, &(w, ht, kbps)) in cases.iter().enumerate() {
+            let category = Category::ALL[i * 3 % Category::ALL.len()];
+            let mut video = SyntheticVideo::new(SceneConfig::preset(category, ht, w), 7 + i as u64);
+            let frames = video.take_frames(6);
+            let mut enc = Encoder::new(EncoderConfig::new(w, ht));
+            let mut rc = RateController::new();
+            let (encoded, _) = encode_chunk_at_kbps(&mut enc, &mut rc, &frames, kbps, 0.2);
+            for e in &encoded {
+                h = fnv1a(h, &[matches!(e.kind, FrameKind::Inter) as u8]);
+                h = fnv1a(h, &e.qscale.to_bits().to_le_bytes());
+                for s in &e.slices {
+                    h = fnv1a(h, &s.data);
+                }
+            }
+        }
+        assert_eq!(h, 0xb63e_4f0c_ac34_8135, "chunk bytes fnv {h:#018x}");
+    }
 }
