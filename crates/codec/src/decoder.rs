@@ -12,7 +12,7 @@
 //! the viewer actually saw.
 
 use crate::bitstream::{decode_block, get_ivarint};
-use crate::block::{extract8, mb_grid, store8, MB};
+use crate::block::{extract8, mb_grid, store8, MB, MV_RANGE};
 use crate::dct;
 use crate::encoder::{EncodedFrame, FrameKind};
 use crate::error::DecodeError;
@@ -213,10 +213,19 @@ impl Decoder {
                             .reference
                             .as_ref()
                             .ok_or(DecodeError::Truncated { pos: 0 })?;
+                        let mv_pos = pos;
                         let dx =
                             get_ivarint(data, &mut pos).ok_or(DecodeError::Truncated { pos })?;
                         let dy =
                             get_ivarint(data, &mut pos).ok_or(DecodeError::Truncated { pos })?;
+                        let range = -(MV_RANGE as i64)..=MV_RANGE as i64;
+                        if !range.contains(&dx) || !range.contains(&dy) {
+                            return Err(DecodeError::MotionVectorOutOfRange {
+                                pos: mv_pos,
+                                dx,
+                                dy,
+                            });
+                        }
                         for by in 0..2isize {
                             for bx in 0..2isize {
                                 let levels = decode_block(data, &mut pos)?;
@@ -414,5 +423,41 @@ mod tests {
             complete: false,
         };
         assert_eq!(pd2.valid_prefix_rows(), 0);
+    }
+
+    #[test]
+    fn forged_motion_vector_is_refused_and_the_slice_lost() {
+        use crate::bitstream::put_ivarint;
+        let frames = clip(2);
+        let (encoded, _) = encode_all(&frames, 2.0);
+        for (dx, dy) in [(i64::MAX, 0), (0, i64::MIN), (16, -3), (-2, -16)] {
+            let mut forged = encoded[1].clone();
+            let data = &forged.slices[1].data;
+            let mut pos = 0;
+            get_ivarint(data, &mut pos).unwrap();
+            get_ivarint(data, &mut pos).unwrap();
+            let mut bytes = Vec::new();
+            put_ivarint(&mut bytes, dx);
+            put_ivarint(&mut bytes, dy);
+            bytes.extend_from_slice(&data[pos..]);
+            forged.slices[1].data = bytes;
+
+            let mut dec = Decoder::new(64, 48);
+            dec.decode(&encoded[0]);
+            let mut frame = dec.reference().unwrap().clone();
+            let err = dec
+                .decode_slice(&forged, &forged.slices[1], 4, &mut frame)
+                .expect_err("vector outside the search range");
+            assert_eq!(err, DecodeError::MotionVectorOutOfRange { pos: 0, dx, dy });
+            let present = vec![true; forged.slices.len()];
+            let pd = dec.try_decode_partial(&forged, &present).unwrap();
+            assert!(!pd.complete);
+            assert_eq!(pd.mb_row_valid, vec![true, false, true]);
+        }
+        // The vectors the encoder writes stay inside the range.
+        let mut dec = Decoder::new(64, 48);
+        for e in &encoded {
+            assert!(dec.decode_partial(e, &[true; 3]).complete);
+        }
     }
 }

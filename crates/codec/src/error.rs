@@ -20,6 +20,10 @@ pub enum DecodeError {
     /// A coded level of zero at `pos` (the format forbids it: zeros
     /// travel in run counts).
     ZeroLevel { pos: usize },
+    /// A motion vector starting at `pos` has a component outside
+    /// ±[`MV_RANGE`](crate::block::MV_RANGE), which the encoder never
+    /// writes.
+    MotionVectorOutOfRange { pos: usize, dx: i64, dy: i64 },
     /// `packetize` called with a zero MTU.
     ZeroMtu,
     /// `decode_partial` called with a presence mask of the wrong length.
@@ -42,6 +46,13 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::ZeroLevel { pos } => {
                 write!(f, "zero coefficient level at byte {pos}")
+            }
+            DecodeError::MotionVectorOutOfRange { pos, dx, dy } => {
+                write!(
+                    f,
+                    "motion vector ({dx}, {dy}) at byte {pos} is outside ±{}",
+                    crate::block::MV_RANGE
+                )
             }
             DecodeError::ZeroMtu => write!(f, "mtu must be at least 1 byte"),
             DecodeError::PresenceMaskMismatch { slices, mask } => {
