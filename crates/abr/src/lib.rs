@@ -15,12 +15,8 @@
 //!   bitrate it classifies the chunk's frames into recovered / SR'd /
 //!   plain using the paper's `T_play` vs `T_arr` accounting, maps the
 //!   blended quality back to an effective bitrate utility, estimates
-//!   rebuffering including recovery cost, and picks the argmax;
-//! * [`ppo`] — a PPO-lite reinforcement learner over a linear-softmax
-//!   policy (the paper upgrades Pensieve with PPO; see DESIGN.md for the
-//!   substitution scope);
-//! * [`baselines`] — buffer-based (BBA), rate-based, and robust-MPC
-//!   baselines, plus the enhancement-blind variant of our MPC;
+//!   rebuffering including recovery cost, and picks the argmax. With
+//!   both awareness flags off it is the enhancement-blind MPC baseline;
 //! * [`nemo`] — the NEMO-style SR-only baseline (anchor-limited SR, no
 //!   recovery, frame reuse on loss);
 //! * [`fec_table`] — the offline loss-rate → FEC-redundancy lookup table
@@ -30,11 +26,9 @@
 //! [`AbrContext`] snapshot, so the same algorithms run inside the full
 //! pixel-accurate simulator and in fast analytic sweeps.
 
-pub mod baselines;
 pub mod fec_table;
 pub mod mpc;
 pub mod nemo;
-pub mod ppo;
 pub mod predict;
 pub mod qoe;
 
@@ -80,8 +74,6 @@ impl AbrContext {
 pub trait Abr: Send {
     /// Pick the ladder index for the next chunk.
     fn choose(&mut self, ctx: &AbrContext) -> usize;
-    /// Short display name (figure legends).
-    fn name(&self) -> &'static str;
 }
 
 /// An [`Abr`] clamped to a maximum ladder rung.
@@ -113,10 +105,6 @@ impl Abr for CappedAbr {
     fn choose(&mut self, ctx: &AbrContext) -> usize {
         self.inner.choose(ctx).min(self.cap)
     }
-
-    fn name(&self) -> &'static str {
-        "capped"
-    }
 }
 
 #[cfg(test)]
@@ -127,9 +115,6 @@ mod tests {
     impl Abr for Greedy {
         fn choose(&mut self, ctx: &AbrContext) -> usize {
             ctx.ladder_kbps.len() - 1
-        }
-        fn name(&self) -> &'static str {
-            "greedy"
         }
     }
 

@@ -57,20 +57,11 @@ impl Default for EnhancementConfig {
     }
 }
 
-/// Which predictor drives the throughput estimate (ablation axis; §6
-/// names both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorKind {
-    Ewma,
-    HoltWinters,
-}
-
 /// The enhancement-aware ABR.
 pub struct EnhancementAwareAbr {
     maps: QualityMaps,
     params: QoeParams,
     config: EnhancementConfig,
-    predictor: PredictorKind,
 }
 
 impl EnhancementAwareAbr {
@@ -79,7 +70,6 @@ impl EnhancementAwareAbr {
             maps,
             params,
             config,
-            predictor: PredictorKind::HoltWinters,
         }
     }
 
@@ -113,20 +103,14 @@ impl EnhancementAwareAbr {
         )
     }
 
-    pub fn with_predictor(mut self, kind: PredictorKind) -> Self {
-        self.predictor = kind;
-        self
-    }
-
     pub fn config(&self) -> &EnhancementConfig {
         &self.config
     }
 
+    /// Holt–Winters over the recent chunk throughputs (§6 names EWMA
+    /// and HW; HW follows the ramps into and out of coverage).
     fn predict_throughput_kbps(&self, ctx: &AbrContext) -> f64 {
-        let mut p: Box<dyn Predictor> = match self.predictor {
-            PredictorKind::Ewma => Box::new(Ewma::new(0.35)),
-            PredictorKind::HoltWinters => Box::new(HoltWinters::new(0.5, 0.3)),
-        };
+        let mut p = HoltWinters::new(0.5, 0.3);
         for &s in &ctx.throughput_kbps {
             p.update(s);
         }
@@ -282,15 +266,6 @@ impl Abr for EnhancementAwareAbr {
         }
         best
     }
-
-    fn name(&self) -> &'static str {
-        match (self.config.recovery_aware, self.config.sr_aware) {
-            (true, true) => "NERVE (RC+SR aware)",
-            (true, false) => "RC-aware",
-            (false, true) => "SR-aware",
-            (false, false) => "MPC (blind)",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -389,21 +364,5 @@ mod tests {
         let shallow = ctx_with_tput(1200.0, 0.0);
         let b = blind();
         assert!(b.evaluate_rung(&deep, 3) > b.evaluate_rung(&shallow, 3));
-    }
-
-    #[test]
-    fn predictor_kinds_both_work() {
-        for kind in [PredictorKind::Ewma, PredictorKind::HoltWinters] {
-            let mut abr = aware().with_predictor(kind);
-            let ctx = ctx_with_tput(2000.0, 5.0);
-            let choice = abr.choose(&ctx);
-            assert!(choice < LADDER.len());
-        }
-    }
-
-    #[test]
-    fn name_reflects_awareness() {
-        assert_eq!(aware().name(), "NERVE (RC+SR aware)");
-        assert_eq!(blind().name(), "MPC (blind)");
     }
 }

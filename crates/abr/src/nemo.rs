@@ -110,10 +110,6 @@ impl Abr for NemoAbr {
         }
         best
     }
-
-    fn name(&self) -> &'static str {
-        "NEMO"
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,7 @@
 //! §6: "We can predict the loss rate (e.g., using Exponential Weighted
 //! Moving window Average (EWMA) or Holt Winters (HW)), and use the
 //! predicted loss rate to estimate (i)." The same predictors serve
-//! throughput. RobustMPC additionally uses the harmonic mean of recent
-//! samples discounted by the recent maximum prediction error.
+//! throughput.
 
 /// A scalar time-series predictor.
 pub trait Predictor {
@@ -120,26 +119,6 @@ impl Predictor for HoltWinters {
     }
 }
 
-/// Harmonic mean of the samples (RobustMPC's throughput estimator —
-/// dominated by the slow samples, which is the conservative choice).
-pub fn harmonic_mean(samples: &[f64]) -> f64 {
-    let positive: Vec<f64> = samples.iter().copied().filter(|&v| v > 0.0).collect();
-    if positive.is_empty() {
-        return 0.0;
-    }
-    positive.len() as f64 / positive.iter().map(|v| 1.0 / v).sum::<f64>()
-}
-
-/// Maximum relative prediction error over recent (prediction, actual)
-/// pairs — RobustMPC's discount factor.
-pub fn max_relative_error(pairs: &[(f64, f64)]) -> f64 {
-    pairs
-        .iter()
-        .filter(|(_, actual)| *actual > 0.0)
-        .map(|(pred, actual)| ((pred - actual) / actual).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,27 +186,5 @@ mod tests {
         hw.update(4.0);
         hw.reset();
         assert_eq!(hw.predict(), 0.0);
-    }
-
-    #[test]
-    fn harmonic_mean_is_dominated_by_slow_samples() {
-        let hm = harmonic_mean(&[10.0, 10.0, 1.0]);
-        let am = (10.0 + 10.0 + 1.0) / 3.0;
-        assert!(hm < am);
-        assert!((hm - 3.0 / (0.1 + 0.1 + 1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn harmonic_mean_handles_degenerate_input() {
-        assert_eq!(harmonic_mean(&[]), 0.0);
-        assert_eq!(harmonic_mean(&[0.0, 0.0]), 0.0);
-        assert!((harmonic_mean(&[0.0, 4.0]) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_relative_error_finds_worst_case() {
-        let err = max_relative_error(&[(1.0, 1.0), (2.0, 1.0), (0.5, 1.0)]);
-        assert!((err - 1.0).abs() < 1e-12);
-        assert_eq!(max_relative_error(&[]), 0.0);
     }
 }

@@ -3,7 +3,7 @@
 
 use nerve_abr::fec_table::FecTable;
 use nerve_abr::mpc::{EnhancementAwareAbr, EnhancementConfig};
-use nerve_abr::predict::{harmonic_mean, Ewma, HoltWinters, Predictor};
+use nerve_abr::predict::{Ewma, HoltWinters, Predictor};
 use nerve_abr::qoe::{session_qoe, ChunkOutcome, QoeParams, QualityMaps};
 use nerve_abr::{Abr, AbrContext};
 use nerve_rng::{check_cases, DetRng, Rng};
@@ -126,17 +126,6 @@ fn holt_winters_is_finite_and_nonnegative() {
         }
         let p = hw.predict();
         assert!(p.is_finite() && p >= 0.0);
-    });
-}
-
-#[test]
-fn harmonic_mean_bounded_by_arithmetic() {
-    check_cases("harmonic_mean_bounded_by_arithmetic", CASES, |rng| {
-        let samples = samples(rng, 1..30, 0.1, 100.0);
-        let hm = harmonic_mean(&samples);
-        let am = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!(hm <= am + 1e-9);
-        assert!(hm > 0.0);
     });
 }
 

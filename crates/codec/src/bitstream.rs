@@ -111,7 +111,10 @@ pub fn decode_block(data: &[u8], pos: &mut usize) -> Result<[i32; 64], DecodeErr
         if level == 0 {
             return Err(DecodeError::ZeroLevel { pos: pair_pos });
         }
-        levels[order[scan]] = level as i32;
+        levels[order[scan]] = i32::try_from(level).map_err(|_| DecodeError::LevelOutOfRange {
+            pos: pair_pos,
+            level,
+        })?;
         scan += 1;
     }
 }
@@ -237,6 +240,41 @@ mod tests {
             decode_block(&buf, &mut pos),
             Err(DecodeError::ZeroLevel { .. })
         ));
+    }
+
+    #[test]
+    fn level_outside_i32_is_rejected() {
+        // 2^33 would wrap to 0, a level the format forbids.
+        for level in [1i64 << 33, i32::MIN as i64 - 1] {
+            // A valid first pair, so the error must name the second.
+            let mut buf = Vec::new();
+            put_uvarint(&mut buf, 0);
+            put_ivarint(&mut buf, 5);
+            let pair_pos = buf.len();
+            put_uvarint(&mut buf, 3);
+            put_ivarint(&mut buf, level);
+            buf.push(0xFF);
+            let mut pos = 0;
+            assert_eq!(
+                decode_block(&buf, &mut pos),
+                Err(DecodeError::LevelOutOfRange {
+                    pos: pair_pos,
+                    level
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn i32_extreme_levels_round_trip() {
+        let mut levels = [0i32; 64];
+        levels[0] = i32::MIN;
+        levels[63] = i32::MAX;
+        let mut buf = Vec::new();
+        encode_block(&levels, &mut buf);
+        let mut pos = 0;
+        assert_eq!(decode_block(&buf, &mut pos), Ok(levels));
+        assert_eq!(pos, buf.len());
     }
 
     #[test]

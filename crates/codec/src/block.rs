@@ -131,7 +131,7 @@ impl Window {
 /// costs are compared in raster order with strict `<`, so ties go to the
 /// first candidate.
 ///
-/// The sweep scores each candidate row in groups of [`LANES`]
+/// The sweep scores each candidate row in groups of eight (`LANES`)
 /// horizontally adjacent candidates: lane `l` of group `g` is
 /// `dx = −MV_RANGE + 8g + l`, and lanes past `MV_RANGE` are scored but
 /// never compared. Each lane sums its own 64 `|cur − ref|` terms in

@@ -20,6 +20,9 @@ pub enum DecodeError {
     /// A coded level of zero at `pos` (the format forbids it: zeros
     /// travel in run counts).
     ZeroLevel { pos: usize },
+    /// A coded level at `pos` outside the `i32` range a block stores
+    /// (the encoder only writes `i32` levels).
+    LevelOutOfRange { pos: usize, level: i64 },
     /// A motion vector starting at `pos` has a component outside
     /// ±[`MV_RANGE`](crate::block::MV_RANGE), which the encoder never
     /// writes.
@@ -46,6 +49,9 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::ZeroLevel { pos } => {
                 write!(f, "zero coefficient level at byte {pos}")
+            }
+            DecodeError::LevelOutOfRange { pos, level } => {
+                write!(f, "coefficient level {level} at byte {pos} is outside i32")
             }
             DecodeError::MotionVectorOutOfRange { pos, dx, dy } => {
                 write!(

@@ -27,11 +27,12 @@
 //! [T; N], tuples       the items in order, no length
 //! ```
 //!
-//! A plain struct declares its layout once, with [`wire_record!`]: one
-//! ordered field list next to its type. Tagged enums write their own
-//! impl. A decoder opens the frame with [`Frame::open`] (or reads one
-//! value with [`Frame::decode`]), so every way a frame can be refused is
-//! one [`FrameError`] variant.
+//! A plain struct declares its layout once, with
+//! [`wire_record!`](crate::wire_record): one ordered field list next to
+//! its type. Tagged enums write their own impl. A decoder opens the
+//! frame with [`Frame::open`] (or reads one value with
+//! [`Frame::decode`]), so every way a frame can be refused is one
+//! [`FrameError`] variant.
 
 use crate::clock::SimTime;
 use crate::integrity;

@@ -222,7 +222,7 @@ pub(crate) fn occupancy_bucket(batch: usize) -> usize {
 
 /// Upper bucket edges of the `batcher.occupancy` histogram. Chosen so
 /// the upper-inclusive histogram convention reproduces
-/// [`occupancy_bucket`] / [`occupancy_label`] exactly: a batch of `b`
+/// `occupancy_bucket` / [`occupancy_label`] exactly: a batch of `b`
 /// lands in the first bucket with `b <= edge`, overflow is "65+".
 pub const OCCUPANCY_EDGES: [f64; OCCUPANCY_BUCKETS - 1] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 

@@ -12,7 +12,7 @@
 //! bytes at every worker count. It travels in the workspace's one
 //! sealed frame ([`nerve_net::bytes::Frame`]) like a session ticket,
 //! so a truncated or bit-flipped checkpoint is refused rather than
-//! resumed. The body is [`FleetCkpt`]'s `wire_record!` field list; each
+//! resumed. The body is `FleetCkpt`'s `wire_record!` field list; each
 //! server is a `ServerCkpt` record and every record inside it declares
 //! its layout next to its own type (the batcher's jobs and stats, the
 //! admission buckets, the breaker, the weight cache, the queued events).

@@ -1,7 +1,7 @@
 //! The deterministic multi-server fleet: a discrete-event simulator over
 //! N edge servers behind a load balancer.
 //!
-//! Each server ([`crate::server::ServerSim`]) is an event-driven state
+//! Each server (`ServerSim`, in `server.rs`) is an event-driven state
 //! machine over a calendar queue ([`crate::event_queue`]): session
 //! wake-ups, crash instants, completion probes, restart windows, and
 //! batcher ticks are *events*, so per-step cost scales with the number

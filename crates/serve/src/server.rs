@@ -1926,4 +1926,74 @@ mod tests {
         let rates = fair_share_rates(100.0, &[(1.0, 0.5), (1.0, 1.0)]);
         assert_eq!(rates, vec![25.0, 50.0]);
     }
+
+    /// The server's chunk-level playback model over a seeded grid of
+    /// network kinds, link rates and seeds, checked after every
+    /// processed instant: each chunk request starts with a buffer in
+    /// `[0, MAX_BUFFER_SECS]` (`buffer_in_bounds`), and no session's
+    /// `rebuffer_total` is negative (`rebuffer_non_negative`). Violations
+    /// are collected by invariant name. The session's model is checked
+    /// the same way in the root `tests/playback_invariants.rs`.
+    ///
+    /// The cap holds to the clock's resolution: a session over the cap
+    /// waits `buffer − cap` seconds rounded to the nearest microsecond,
+    /// so it may request up to half a microsecond early (a request
+    /// buffer of 12.000000000000002 s occurs in this grid).
+    #[test]
+    fn playback_stays_in_bounds_over_a_seeded_grid() {
+        use nerve_net::trace::{NetworkKind, NetworkTrace};
+        const CLOCK_SECS: f64 = 1e-6;
+        let mut violations = Vec::new();
+        for kind in NetworkKind::ALL {
+            for (seed, mean_mbps) in [(1, 3.0), (2, 12.0), (3, 60.0)] {
+                let mut cfg = FleetConfig::small(6, seed);
+                cfg.chunks_per_session = 12;
+                let trace = NetworkTrace::generate(kind, seed).downscaled(mean_mbps);
+                let maps = QualityMaps::placeholder(&cfg.ladder_kbps);
+                let mut sim = ServerSim::new(0, &cfg, &trace, &maps, None, None);
+                for id in 0..cfg.sessions {
+                    sim.spawn_session(id);
+                }
+                let hard_stop = SimTime::from_secs_f64(cfg.max_virtual_secs);
+                while let Some(at) = sim.queue.peek().map(|e| e.at) {
+                    if sim.done || at > hard_stop {
+                        break;
+                    }
+                    sim.run_until(at, &mut None);
+                    for (id, s) in &sim.sessions {
+                        let here =
+                            || format!("{} seed {seed} session {id} at {at:?}", kind.label());
+                        if let Phase::Downloading {
+                            buffer_at_start,
+                            started,
+                            ..
+                        } = s.phase
+                        {
+                            let cap = MAX_BUFFER_SECS + CLOCK_SECS;
+                            if started == at && !(0.0..=cap).contains(&buffer_at_start) {
+                                violations.push(format!(
+                                    "buffer_in_bounds: {}: request buffer {buffer_at_start} s",
+                                    here()
+                                ));
+                            }
+                        }
+                        // A NaN is outside the range too.
+                        if !(0.0..).contains(&s.rebuffer_total) {
+                            violations.push(format!(
+                                "rebuffer_non_negative: {}: rebuffer_total {} s",
+                                here(),
+                                s.rebuffer_total
+                            ));
+                        }
+                    }
+                }
+                assert!(
+                    sim.done,
+                    "{} seed {seed}: fleet did not finish",
+                    kind.label()
+                );
+            }
+        }
+        assert!(violations.is_empty(), "{}", violations.join("\n"));
+    }
 }

@@ -23,7 +23,6 @@
 
 pub mod calibrate;
 pub mod checkpoint;
-pub mod envs;
 pub mod experiments;
 pub mod live;
 pub mod pixel_session;

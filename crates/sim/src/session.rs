@@ -218,7 +218,7 @@ const DELTA_UPDATES: u32 = 2;
 const DELTA_CHUNK_BYTES: u64 = 96;
 
 /// Maximum client buffer, seconds.
-const MAX_BUFFER_SECS: f64 = 30.0;
+pub const MAX_BUFFER_SECS: f64 = 30.0;
 
 /// Session configuration.
 #[derive(Clone)]

@@ -201,11 +201,11 @@ pub const LANES: usize = 8;
 /// in what fills a vector's lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// One (image, out-channel) plane at a time ([`conv_plane`]): the
+    /// One (image, out-channel) plane at a time (`conv_plane`): the
     /// reference the lanes are checked and timed against.
     Plane,
     /// One image at a time, [`LANES`] (then four) output channels per
-    /// vector ([`conv_channel_block`]); leftover channels run as planes.
+    /// vector (`conv_channel_block`); leftover channels run as planes.
     /// What [`conv2d`] runs.
     ChannelLanes,
 }

@@ -11,7 +11,7 @@
 //! 3. [`std::thread::available_parallelism`].
 //!
 //! Nested parallelism is suppressed with a thread-local marker: a sweep
-//! worker calls [`enter_pool`] so kernels it runs (conv2d inside a
+//! worker holds a [`PoolGuard`] so kernels it runs (conv2d inside a
 //! calibration unit, say) stay serial instead of oversubscribing the
 //! machine. Results never depend on the worker count — parallel loops
 //! write disjoint, index-keyed slots and reduce in input order — so this

@@ -16,7 +16,7 @@
 //! A scene is a panned, textured background plus a set of moving textured
 //! elliptical objects that bounce off the frame edges; new objects spawn
 //! at the boundary at the novelty rate. Everything is generated from a
-//! seeded deterministic PRNG ([`crate::rng::DetRng`]), so clips are
+//! seeded deterministic PRNG ([`nerve_rng::DetRng`]), so clips are
 //! exactly reproducible.
 
 use crate::frame::Frame;
